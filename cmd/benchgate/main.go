@@ -16,7 +16,9 @@
 // sizes) are gated; everything else is informational.
 // A gated benchmark present in the baseline but missing from the
 // current run is an error — a silently deleted benchmark must not
-// disable its own gate.
+// disable its own gate. Renaming or deleting a gated benchmark
+// therefore renames or drops its BENCH_baseline.json lines in the same
+// commit, keeping the renamed lines' numbers.
 package main
 
 import (

@@ -123,7 +123,6 @@ func main() {
 		routeCache   = flag.Int("route-cache", 0, "routed batch rows memoized on the coordinator (0 = default 4096, negative disables)")
 		routeCacheB  = flag.Int64("route-cache-bytes", 0, "approximate byte bound of the routed-row cache (0 = default 256 MiB, negative removes the bound)")
 		clusterSec   = flag.String("cluster-secret", "", "shared secret: required on POST/DELETE /v1/cluster/shards here, and presented when self-registering (empty = open)")
-		wireOn       = flag.Bool("wire", true, "speak the binary rp-wire/1 transport for cluster traffic (serve GET /v1/wire; dial it on shards)")
 		register     = flag.String("register", "", "worker mode: coordinator URL to self-register with (heartbeat re-registers, graceful shutdown deregisters)")
 		advertise    = flag.String("advertise", "", "worker mode: address the coordinator dials back (default derived from -addr)")
 		registerInt  = flag.Duration("register-interval", 10*time.Second, "worker mode: self-registration heartbeat period")
@@ -153,7 +152,7 @@ func main() {
 	logger = logger.With("daemon", "rpserve")
 
 	// Control-plane state shared across the layers: the event journal
-	// (membership, circuit, wire, job and alert transitions; served at
+	// (membership, circuit, job and alert transitions; served at
 	// /debug/events) and the SLO burn-rate engine (fed by the request
 	// middleware, surfaced via /v1/alerts, /metrics and the /healthz
 	// verdict). Both are nil-safe everywhere they are handed to.
@@ -202,7 +201,6 @@ func main() {
 		pool, err = cluster.NewPool(addrs, cluster.PoolOptions{
 			MaxInFlight:        *shardConc,
 			ExpireAfter:        *shardExpire,
-			DisableWire:        !*wireOn,
 			RouteCacheSize:     *routeCache,
 			RouteCacheMaxBytes: *routeCacheB,
 			FederateInterval:   *federateInt,
@@ -258,12 +256,9 @@ func main() {
 		SLO:                slo,
 		Events:             events,
 	}
-	var wireSrv *wire.Server
-	if *wireOn {
-		wireSrv = wire.NewServer(engine, logger)
-		wireSrv.Spans = spans
-		handlerOpts.Wire = wireSrv
-	}
+	wireSrv := wire.NewServer(engine, logger)
+	wireSrv.Spans = spans
+	handlerOpts.Wire = wireSrv
 	var manager *jobs.Manager
 	if *worker {
 		// A worker shard serves raw capacity: no job manager, and the
@@ -392,9 +387,7 @@ func main() {
 	}
 	// Hijacked wire connections are invisible to srv.Shutdown: close
 	// them explicitly so coordinators fail over instead of hanging.
-	if wireSrv != nil {
-		wireSrv.Close()
-	}
+	wireSrv.Close()
 	// Jobs first: running jobs checkpoint (interrupted, resumable on the
 	// next start) and release their engine work before the engine pool
 	// itself drains.

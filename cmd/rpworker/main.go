@@ -68,7 +68,6 @@ func main() {
 		advertise   = flag.String("advertise", "", "address the coordinator dials back (default derived from -addr)")
 		regEvery    = flag.Duration("register-interval", 10*time.Second, "self-registration heartbeat period")
 		clusterSec  = flag.String("cluster-secret", "", "shared secret presented when self-registering (must match the coordinator's -cluster-secret)")
-		wireOn      = flag.Bool("wire", true, "serve the binary rp-wire/1 transport on GET /v1/wire")
 		logFormat   = flag.String("log-format", "text", "log output format: text or json")
 		logLevel    = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 		slowReq     = flag.Duration("slow-request", 0, "log requests slower than this at warn level (0 = disabled)")
@@ -116,12 +115,9 @@ func main() {
 		TraceSample:        *traceSample,
 		Events:             events,
 	}
-	var wireSrv *wire.Server
-	if *wireOn {
-		wireSrv = wire.NewServer(engine, logger)
-		wireSrv.Spans = spans
-		handlerOpts.Wire = wireSrv
-	}
+	wireSrv := wire.NewServer(engine, logger)
+	wireSrv.Spans = spans
+	handlerOpts.Wire = wireSrv
 	var handler http.Handler = service.NewHandlerOpts(engine, handlerOpts)
 	if *pprofOn {
 		root := http.NewServeMux()
@@ -185,9 +181,7 @@ func main() {
 	}
 	// Hijacked wire connections are invisible to srv.Shutdown: close
 	// them explicitly so the coordinator fails over instead of hanging.
-	if wireSrv != nil {
-		wireSrv.Close()
-	}
+	wireSrv.Close()
 	if err := engine.Close(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Warn("engine shutdown", "error", err)
 	}

@@ -149,10 +149,10 @@ func TestRouteBatchMatchesLocalInOrder(t *testing.T) {
 	if st.BatchesRouted != 1 || st.RowsRouted != n || st.RowsLocalFallback != 0 {
 		t.Fatalf("cluster stats = %+v, want %d rows all routed", st, n)
 	}
-	// The rows must have traveled the binary transport, not the JSON
-	// fallback — this is the equivalence test's transport assertion.
-	if st.WireRows != n || st.WireFallbacks != 0 || st.WireConnections == 0 {
-		t.Fatalf("wire stats = %+v, want all %d rows framed over rp-wire/1", st, n)
+	// The rows must have traveled the binary transport — this is the
+	// equivalence test's transport assertion.
+	if st.WireRows != n || st.WireConnections == 0 {
+		t.Fatalf("wire stats = %+v, want all %d rows framed over rp-wire/2", st, n)
 	}
 }
 
@@ -298,7 +298,7 @@ func TestInlineBatchHTTPRouted(t *testing.T) {
 // BenchmarkRouteBatchInline pins the inline-batch acceptance criterion:
 // the same CPU-bound batch through a coordinator whose own engine has
 // one solver goroutine, computed locally vs routed over one and two
-// single-core shards. On a multi-core host cluster=2 beats local-only
+// single-core shards. A fourth case, relay, measures the transport. On a multi-core host cluster=2 beats local-only
 // (two solver goroutines against one); a single-core host necessarily
 // shows transport overhead instead — there is no second core for the
 // second shard — so treat these numbers per-machine, not as a ratio to
@@ -366,13 +366,11 @@ func BenchmarkRouteBatchInline(b *testing.B) {
 		b.Run(fmt.Sprintf("cluster=%d", shards), func(b *testing.B) { run(b, shards) })
 	}
 
-	// The transport pair isolates what the wire protocol buys: many
-	// cheap rows with full solutions attached, where encode/decode and
-	// per-call HTTP overhead — not solving — dominate. Same worker,
-	// same batch, binary vs JSON in the same run; the acceptance bar is
-	// wire ≥ 1.5x the JSON ns/op.
-	tin := gen.Instance(gen.Config{Internal: 30, Clients: 120, Lambda: 0.5, UnitCosts: true}, 9)
-	runTransport := func(b *testing.B, disableWire bool) {
+	// relay isolates the wire transport's cost: many cheap rows with full
+	// solutions attached, where encode/decode and framing — not solving
+	// — dominate.
+	b.Run("relay", func(b *testing.B) {
+		tin := gen.Instance(gen.Config{Internal: 30, Clients: 120, Lambda: 0.5, UnitCosts: true}, 9)
 		e := service.NewEngine(service.EngineOptions{Workers: 1, CacheSize: -1})
 		defer func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -380,9 +378,7 @@ func BenchmarkRouteBatchInline(b *testing.B) {
 			e.Close(ctx)
 		}()
 		srv, _ := newWorker(b, 4)
-		p, err := NewPool([]string{srv.URL}, PoolOptions{
-			ProbeInterval: -1, MaxInFlight: 4, DisableWire: disableWire,
-		})
+		p, err := NewPool([]string{srv.URL}, PoolOptions{ProbeInterval: -1, MaxInFlight: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -407,14 +403,8 @@ func BenchmarkRouteBatchInline(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		st := p.ClusterStats()
-		if disableWire && st.WireRequests != 0 {
-			b.Fatalf("json run issued %d wire requests", st.WireRequests)
+		if p.ClusterStats().WireRows == 0 {
+			b.Fatal("relay run carried no rows over the binary transport")
 		}
-		if !disableWire && st.WireRows == 0 {
-			b.Fatal("wire run carried no rows over the binary transport")
-		}
-	}
-	b.Run("transport=wire", func(b *testing.B) { runTransport(b, false) })
-	b.Run("transport=json", func(b *testing.B) { runTransport(b, true) })
+	})
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -11,16 +10,17 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/cluster/wire"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/jobs"
-	"repro/internal/obs"
 	"repro/internal/service"
 )
 
-// permanentError marks a failure the shard answered deliberately (4xx):
-// retrying it elsewhere would fail identically, so the pool neither
-// fails over nor opens the shard's breaker.
+// permanentError marks a failure the shard answered deliberately (a
+// FlagPermanent FrameError, the analogue of an HTTP 4xx): retrying it
+// elsewhere would fail identically, so the pool neither fails over nor
+// opens the shard's breaker.
 type permanentError struct{ err error }
 
 func (e *permanentError) Error() string { return e.err.Error() }
@@ -29,50 +29,6 @@ func (e *permanentError) Unwrap() error { return e.err }
 func isPermanent(err error) bool {
 	var pe *permanentError
 	return errors.As(err, &pe)
-}
-
-// postJSON sends body to the shard and returns the response, mapping
-// transport failures and 5xx statuses to transient errors and 4xx to
-// permanent ones. The caller owns resp.Body on nil error.
-func (p *Pool) postJSON(ctx context.Context, s *shard, path string, body any) (*http.Response, error) {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return nil, &permanentError{err}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, s.addr+path, bytes.NewReader(data))
-	if err != nil {
-		return nil, &permanentError{err}
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if id := obs.Trace(ctx); id != "" {
-		// Propagate the coordinator's trace to the shard: its access log
-		// and error bodies then carry the same ID as the originating
-		// request (HTTP requests, and job runs via the manager's context).
-		req.Header.Set(obs.TraceHeader, id)
-	}
-	if parent := obs.ParentSpan(ctx); parent != 0 {
-		// The active span ID rides along so the shard's spans parent
-		// under the coordinator span that issued this call.
-		req.Header.Set(obs.ParentSpanHeader, obs.FormatSpanID(parent))
-	}
-	start := time.Now()
-	resp, err := p.opts.Client.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %s%s: %w", s.addr, path, err)
-	}
-	// Headers are back, so this is the shard's round-trip (body streaming
-	// is accounted by the caller — chunk timing, scan loops).
-	p.shardRTT.Observe(s.addr, time.Since(start))
-	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		msg := readErrorBody(resp.Body)
-		err := fmt.Errorf("cluster: %s%s: status %d: %s", s.addr, path, resp.StatusCode, msg)
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			return nil, &permanentError{err}
-		}
-		return nil, err // 5xx and anything exotic: transient, fail over
-	}
-	return resp, nil
 }
 
 // readErrorBody extracts {"error": "..."} from an error response,
@@ -114,12 +70,10 @@ func (p *Pool) ping(ctx context.Context, s *shard) error {
 			p.epoch.Add(1) // a re-weight changes placement like a join does
 		}
 	}
-	// A live worker resets the expiry clock and earns a fresh wire
-	// upgrade attempt (a restart may have turned the transport on).
+	// A live worker resets the expiry clock.
 	s.mu.Lock()
 	s.missedProbes = 0
 	s.mu.Unlock()
-	s.wireUp()
 	return nil
 }
 
@@ -144,7 +98,7 @@ type wireOptions struct {
 	Objects         []service.ObjectVectors `json:"objects,omitempty"`
 }
 
-// solveWire is the /v1/solve request body.
+// solveWire is the /v1/solve request body, which FrameSolve carries.
 type solveWire struct {
 	Instance *core.Instance `json:"instance"`
 	Solver   string         `json:"solver"`
@@ -170,16 +124,36 @@ func remoteTimeout(ctx context.Context) int64 {
 	return ms
 }
 
-// Solve runs one request on the cluster: the pool picks a shard, POSTs
-// /v1/solve, and fails over to another shard when one dies mid-call
-// (solves are deterministic, hence idempotent).
+// wireOne runs an exchange whose answer is exactly one row and decodes
+// that row's JSON body into v.
+func (p *Pool) wireOne(ctx context.Context, s *shard, typ byte, payload []byte, v any) error {
+	rows := 0
+	err := p.wireDo(ctx, s, typ, payload, func(_ int, msg string, body []byte) error {
+		rows++
+		if msg != "" {
+			return fmt.Errorf("cluster: %s wire: %s", s.addr, msg)
+		}
+		if err := json.Unmarshal(body, v); err != nil {
+			return fmt.Errorf("cluster: %s wire: bad row: %w", s.addr, err)
+		}
+		return nil
+	})
+	if err == nil && rows != 1 {
+		err = fmt.Errorf("cluster: %s wire: got %d rows, want 1", s.addr, rows)
+	}
+	return err
+}
+
+// Solve runs one request on the cluster: the pool picks a shard, sends
+// the /v1/solve body as a FrameSolve, and fails over to another shard
+// when one dies mid-call (solves are deterministic, hence idempotent).
 func (p *Pool) Solve(ctx context.Context, in *core.Instance, solver string, policy core.Policy, opt service.Options) (*service.Response, error) {
 	var out *service.Response
 	err := p.do(ctx, true, func(ctx context.Context, s *shard) error {
 		// Built per attempt: a failover retry must carry the deadline
 		// remaining NOW, not the (much longer) one computed before the
 		// first shard burned most of the budget.
-		body := solveWire{
+		body, err := json.Marshal(solveWire{
 			Instance: in,
 			Solver:   solver,
 			Policy:   policy.String(),
@@ -190,23 +164,22 @@ func (p *Pool) Solve(ctx context.Context, in *core.Instance, solver string, poli
 				IncludeSolution: true, // the coordinator rebuilds a full Result
 				Objects:         opt.Objects,
 			},
-		}
-		resp, err := p.postJSON(ctx, s, "/v1/solve", body)
+		})
 		if err != nil {
+			return &permanentError{err}
+		}
+		var resp service.Response
+		if err := p.wireOne(ctx, s, wire.FrameSolve, body, &resp); err != nil {
 			return err
 		}
-		defer resp.Body.Close()
-		var decoded service.Response
-		if err := json.NewDecoder(resp.Body).Decode(&decoded); err != nil {
-			return fmt.Errorf("cluster: %s/v1/solve: bad response: %w", s.addr, err)
-		}
-		out = &decoded
+		out = &resp
 		return nil
 	})
 	return out, err
 }
 
-// campaignWire is the /v1/campaign request body.
+// campaignWire is the /v1/campaign request body, which FrameCampaign
+// carries.
 type campaignWire struct {
 	Config experiments.Config `json:"config"`
 }
@@ -219,128 +192,37 @@ type campaignWire struct {
 func (p *Pool) CampaignRow(ctx context.Context, cfg experiments.Config, index int) (experiments.Row, error) {
 	cfg.Progress, cfg.Context = nil, nil
 	cfg.StartRow, cfg.EndRow = index, index+1
+	body, err := json.Marshal(campaignWire{Config: cfg})
+	if err != nil {
+		return experiments.Row{}, err
+	}
 	var out experiments.Row
-	err := p.do(ctx, true, func(ctx context.Context, s *shard) error {
+	err = p.do(ctx, true, func(ctx context.Context, s *shard) error {
 		jobs.PostEvent(ctx, jobs.EventDispatch, fmt.Sprintf("campaign row %d on %s", index, s.addr))
-		if p.wireEnabled(s) {
-			row, n, err := p.wireCampaignRow(ctx, s, cfg)
-			if !errors.Is(err, errWireUnsupported) {
-				if err != nil {
-					return err
-				}
-				if n != 1 {
-					return fmt.Errorf("cluster: %s wire campaign row %d: got %d rows, want 1", s.addr, index, n)
-				}
-				out = row
-				return nil
-			}
-			p.recordWireFallback(s)
-		}
-		resp, err := p.postJSON(ctx, s, "/v1/campaign", campaignWire{Config: cfg})
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		row, n, err := scanCampaignStream(resp.Body)
-		if err != nil {
-			return fmt.Errorf("cluster: %s/v1/campaign row %d: %w", s.addr, index, err)
-		}
-		if n != 1 {
-			return fmt.Errorf("cluster: %s/v1/campaign row %d: got %d rows, want 1", s.addr, index, n)
-		}
-		out = row
-		return nil
+		return p.wireOne(ctx, s, wire.FrameCampaign, body, &out)
 	})
 	return out, err
 }
 
-// scanCampaignStream reads a worker's campaign NDJSON stream: row lines
-// until a {"done": true} trailer. A missing trailer means the worker
-// died mid-stream; an {"error": ...} line is the campaign's own failure.
-func scanCampaignStream(r io.Reader) (last experiments.Row, rows int, err error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var probe struct {
-			Done  bool   `json:"done"`
-			Error string `json:"error"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			return last, rows, fmt.Errorf("bad stream line: %w", err)
-		}
-		if probe.Error != "" {
-			return last, rows, errors.New(probe.Error)
-		}
-		if probe.Done {
-			return last, rows, nil
-		}
-		var row experiments.Row
-		if err := json.Unmarshal(line, &row); err != nil {
-			return last, rows, fmt.Errorf("bad row line: %w", err)
-		}
-		last = row
-		rows++
-	}
-	if err := sc.Err(); err != nil {
-		return last, rows, err
-	}
-	return last, rows, errors.New("stream ended without done trailer")
-}
-
 // BatchChunk runs one sub-batch on a single shard, delivering each
-// streamed line (indices are chunk-local) as it arrives. It does NOT
-// fail over internally: lines already delivered are checkpointed by the
+// streamed line (indices are chunk-local) as it arrives. The chunk is
+// shipped as one varint-packed frame and every row comes back as raw
+// JSON bytes relayed without decoding (BatchLine.Raw). It does NOT fail
+// over internally: lines already delivered are checkpointed by the
 // caller, which re-partitions whatever is still missing — failover at
 // the row set level rather than the call level, so no work is redone.
 func (p *Pool) BatchChunk(ctx context.Context, payload *service.BatchPayload, deliver func(service.BatchLine)) error {
 	return p.do(ctx, false, func(ctx context.Context, s *shard) error {
 		jobs.PostEvent(ctx, jobs.EventDispatch,
 			fmt.Sprintf("batch chunk of %d on %s", len(payload.Variations), s.addr))
-		if p.wireEnabled(s) {
-			err := p.wireBatchChunk(ctx, s, payload, deliver)
-			if !errors.Is(err, errWireUnsupported) {
-				return err
+		buf := wire.AppendBatchRequest(nil, payload)
+		return p.wireDo(ctx, s, wire.FrameBatch, buf, func(idx int, msg string, body []byte) error {
+			line := service.BatchLine{Index: idx, Error: msg}
+			if msg == "" {
+				line.Raw = body // freshly allocated per frame; safe to retain
 			}
-			p.recordWireFallback(s)
-		}
-		resp, err := p.postJSON(ctx, s, "/v1/batch", payload)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-		for sc.Scan() {
-			line := sc.Bytes()
-			if len(bytes.TrimSpace(line)) == 0 {
-				continue
-			}
-			var probe struct {
-				Done  bool `json:"done"`
-				Index *int `json:"index"`
-			}
-			if err := json.Unmarshal(line, &probe); err != nil {
-				return fmt.Errorf("cluster: %s/v1/batch: bad stream line: %w", s.addr, err)
-			}
-			if probe.Done {
-				return nil
-			}
-			if probe.Index == nil {
-				return fmt.Errorf("cluster: %s/v1/batch: line without index: %s", s.addr, line)
-			}
-			var bl service.BatchLine
-			if err := json.Unmarshal(line, &bl); err != nil {
-				return fmt.Errorf("cluster: %s/v1/batch: bad line: %w", s.addr, err)
-			}
-			deliver(bl)
-		}
-		if err := sc.Err(); err != nil {
-			return err
-		}
-		return fmt.Errorf("cluster: %s/v1/batch: stream ended without done trailer", s.addr)
+			deliver(line)
+			return nil
+		})
 	})
 }

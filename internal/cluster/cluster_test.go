@@ -5,13 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/cluster/wire"
 	"repro/internal/experiments"
 	"repro/internal/gen"
 	"repro/internal/jobs"
@@ -39,6 +38,61 @@ func testCampaignConfig() experiments.Config {
 		Seed:           7,
 		BoundNodes:     10,
 	}
+}
+
+// hostageWorker starts a scripted worker for the mid-run fault tests.
+// It computes its first campaign row itself, with the same
+// experiments.Run a real worker's wire server runs, and holds every
+// later campaign request until release closes, then fails it
+// transiently: at release those rows are guaranteed in flight. The
+// returned channel closes once the first row is on the wire.
+func hostageWorker(t *testing.T, release <-chan struct{}) (*scriptedWorker, <-chan struct{}) {
+	var served atomic.Int64
+	firstDone := make(chan struct{})
+	w := newScriptedWorker(t, func(f wire.Frame, fw *wire.Writer) {
+		if served.Add(1) > 1 {
+			<-release
+			fw.WriteFrame(wire.FrameError, 0, f.Stream, []byte("worker dying"))
+			return
+		}
+		row, err := runCampaignFrame(f)
+		if err != nil {
+			t.Error(err)
+			fw.WriteFrame(wire.FrameError, wire.FlagPermanent, f.Stream, []byte(err.Error()))
+			return
+		}
+		fw.WriteFrame(wire.FrameRow, 0, f.Stream, wire.AppendRow(nil, 0, "", row))
+		fw.WriteFrame(wire.FrameDone, 0, f.Stream, wire.AppendDone(nil, 1, 0))
+		close(firstDone)
+	})
+	return w, firstDone
+}
+
+// runCampaignFrame computes the one campaign row a FrameCampaign
+// request asks for and returns its JSON body.
+func runCampaignFrame(f wire.Frame) ([]byte, error) {
+	if f.Type != wire.FrameCampaign {
+		return nil, fmt.Errorf("frame type 0x%02x, want a campaign", f.Type)
+	}
+	payload := f.Payload
+	if f.Flags&wire.FlagTraced != 0 {
+		var err error
+		if _, _, payload, err = wire.ParseTraceContext(payload); err != nil {
+			return nil, err
+		}
+	}
+	var req campaignWire
+	if err := json.Unmarshal(payload, &req); err != nil {
+		return nil, err
+	}
+	res, err := experiments.Run(req.Config)
+	if err != nil {
+		return nil, err
+	}
+	if len(res.Rows) != 1 {
+		return nil, fmt.Errorf("campaign request computed %d rows, want 1", len(res.Rows))
+	}
+	return json.Marshal(res.Rows[0])
 }
 
 func submitJob(t *testing.T, m *jobs.Manager, kind string, payload any) string {
@@ -146,30 +200,9 @@ func TestShardedCampaignKillWorkerMidRun(t *testing.T) {
 	}
 
 	w2, _ := newWorker(t, 2)
-
-	e1 := service.NewEngine(service.EngineOptions{Workers: 2})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		e1.Close(ctx)
-	})
-	inner := service.NewHandlerOpts(e1, service.HandlerOptions{MaxInlineCampaigns: -1})
-	var served atomic.Int64
-	died := make(chan struct{})
-	firstDone := make(chan struct{})
-	w1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/campaign" {
-			inner.ServeHTTP(w, r)
-			return
-		}
-		if served.Add(1) > 1 {
-			<-died // mid-run: the worker is "killed" with this row in flight
-			http.Error(w, `{"error":"worker dying"}`, http.StatusInternalServerError)
-			return
-		}
-		inner.ServeHTTP(w, r)
-		close(firstDone)
-	}))
+	died := make(chan struct{}) // mid-run: the worker is "killed" with rows in flight
+	sw1, firstDone := hostageWorker(t, died)
+	w1 := sw1.srv
 
 	// Probing is off: between the hostage release and the listener
 	// close, w1 is briefly alive-but-failing, and a lucky ping would
@@ -190,8 +223,8 @@ func TestShardedCampaignKillWorkerMidRun(t *testing.T) {
 	// Wait for w1's one successful row to fully complete first — its
 	// success must not be able to close the breaker after the kill.
 	<-firstDone
-	close(died)    // release the hostage rows as failures...
-	killServer(w1) // ...and take the whole worker down
+	close(died) // release the hostage rows as failures...
+	sw1.kill()  // ...and take the whole worker down
 
 	final := pollMeta(t, m, id, func(meta jobs.Meta) bool { return meta.State.Terminal() })
 	if final.State != jobs.StateSucceeded {
@@ -249,30 +282,9 @@ func TestShardedCampaignMembershipChurn(t *testing.T) {
 	}
 
 	wB, _ := newWorker(t, 2)
-
-	eA := service.NewEngine(service.EngineOptions{Workers: 2})
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		eA.Close(ctx)
-	})
-	inner := service.NewHandlerOpts(eA, service.HandlerOptions{MaxInlineCampaigns: -1})
-	var served atomic.Int64
-	released := make(chan struct{})
-	firstDone := make(chan struct{})
-	wA := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/campaign" {
-			inner.ServeHTTP(w, r)
-			return
-		}
-		if served.Add(1) > 1 {
-			<-released // the membership change happens with these in flight
-			http.Error(w, `{"error":"worker deregistered"}`, http.StatusInternalServerError)
-			return
-		}
-		inner.ServeHTTP(w, r)
-		close(firstDone)
-	}))
+	released := make(chan struct{}) // the membership change happens with rows in flight
+	swA, firstDone := hostageWorker(t, released)
+	wA := swA.srv
 
 	// The job starts on {A} only; B exists but is not a member yet.
 	p := newTestPool(t, []string{wA.URL}, PoolOptions{
@@ -304,7 +316,7 @@ func TestShardedCampaignMembershipChurn(t *testing.T) {
 		t.Fatalf("epoch %d after join+leave, want >= %d", p.Epoch(), startEpoch+2)
 	}
 	close(released)
-	killServer(wA)
+	swA.kill()
 
 	final := pollMeta(t, m, id, func(meta jobs.Meta) bool { return meta.State.Terminal() })
 	if final.State != jobs.StateSucceeded {

@@ -1,11 +1,15 @@
 // Package cluster turns the single-process placement daemon into a
-// sharded multi-process system. It speaks the worker HTTP surface that
-// every rpserve/rpworker process already exposes (/v1/solve, /v1/batch,
-// /v1/campaign, /v1/worker/ping) — there is no separate wire protocol.
+// sharded multi-process system. Every coordinator→worker exchange —
+// @remote solves, batch chunks, campaign rows — rides one transport:
+// rp-wire/2 (package wire), a binary framing protocol over persistent
+// connections that every rpserve/rpworker process upgrades to on
+// GET /v1/wire. Plain HTTP is left for health pings
+// (/v1/worker/ping), federation scrapes (/metrics) and worker
+// self-registration.
 //
 // The pieces, bottom up:
 //
-//   - Pool: a static list of worker shards with per-shard bounded
+//   - Pool: a dynamic set of worker shards with per-shard bounded
 //     in-flight requests, a circuit breaker per shard
 //     (closed → open → half-open, driven by request outcomes and a
 //     background ping prober), and retry-with-failover that re-runs

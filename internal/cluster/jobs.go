@@ -202,7 +202,7 @@ const batchRounds = 3
 
 // BatchKind is the sharded replacement for service.BatchJobKind: the
 // variation indices still missing from the checkpoint are partitioned
-// into chunks, each chunk runs on one shard via /v1/batch, and every
+// into chunks, each chunk runs on one shard as a wire FrameBatch, and every
 // streamed line is persisted under its absolute index the moment it
 // arrives. A chunk cut short by a dying shard therefore loses nothing
 // already streamed; the next round simply re-partitions the remainder

@@ -53,11 +53,6 @@ type PoolOptions struct {
 	// the operator put them there explicitly. 0 (the default) disables
 	// expiry; expiry also requires probing to be enabled.
 	ExpireAfter int
-	// DisableWire forces all shard traffic onto the per-call JSON/HTTP
-	// path. By default the pool upgrades each shard's links to the
-	// persistent binary wire transport (falling back per shard when a
-	// worker doesn't speak it).
-	DisableWire bool
 	// RouteCacheSize bounds the coordinator's routed-row cache — raw
 	// result bytes of wire-routed batch variations, keyed by canonical
 	// request hash, served without re-contacting a shard when an inline
@@ -77,14 +72,16 @@ type PoolOptions struct {
 	// intervals ages out of the merge; scraping requires probing to be
 	// enabled.
 	FederateInterval time.Duration
-	// Client is the HTTP client used for all shard traffic (default a
-	// dedicated client; per-request deadlines come from contexts).
+	// Client is the HTTP client for health pings and federation scrapes
+	// only (default a dedicated client; per-request deadlines come from
+	// contexts). Solves, batch chunks and campaign rows ride the wire
+	// transport's own persistent connections.
 	Client *http.Client
 	// Logger receives membership changes and circuit-breaker transitions
 	// (nil discards).
 	Logger *slog.Logger
 	// Events, when set, receives the cluster event journal: shard
-	// join/leave/expire, circuit transitions, wire fallback and redial.
+	// join/leave/expire and circuit transitions.
 	Events *obs.EventRing
 }
 
@@ -123,11 +120,10 @@ func (o PoolOptions) withDefaults() PoolOptions {
 		o.Logger = obs.NopLogger()
 	}
 	if o.Client == nil {
-		// No global response timeout — campaign rows and big solves are
-		// legitimately slow, and per-call deadlines come from contexts —
-		// but connection establishment is bounded and keepalives detect
-		// dead peers, so an unreachable or firewalled shard fails fast
-		// instead of hanging a job.
+		// No global response timeout — per-call deadlines come from
+		// contexts — but connection establishment is bounded and
+		// keepalives detect dead peers, so an unreachable or firewalled
+		// shard fails a probe fast.
 		o.Client = &http.Client{Transport: &http.Transport{
 			DialContext: (&net.Dialer{
 				Timeout:   5 * time.Second,
@@ -351,7 +347,6 @@ type Pool struct {
 	wireConns         atomic.Uint64 // wire connections dialed
 	wireReqs          atomic.Uint64 // requests sent over the wire transport
 	wireRows          atomic.Uint64 // row frames received
-	wireFallbacks     atomic.Uint64 // upgrades refused → JSON fallback
 
 	// routeCache holds raw wire-routed row bytes by canonical request
 	// key (nil when disabled).
@@ -371,8 +366,10 @@ type Pool struct {
 	closeOnce sync.Once
 }
 
-// normalizeAddr canonicalizes a shard address ("host:port" or full URL)
-// to the base-URL form membership is keyed by.
+// normalizeAddr canonicalizes a shard address ("host:port" or an
+// http:// URL) to the base-URL form membership is keyed by. No daemon
+// serves TLS, so an https:// (or any other scheme's) shard could never
+// complete the wire upgrade: it is rejected here, at join time.
 func normalizeAddr(a string) (string, error) {
 	addr := strings.TrimSpace(a)
 	if addr == "" {
@@ -380,6 +377,8 @@ func normalizeAddr(a string) (string, error) {
 	}
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
+	} else if !strings.HasPrefix(addr, "http://") {
+		return "", fmt.Errorf("cluster: shard address %q: only http:// shards are supported (workers serve no TLS)", a)
 	}
 	return strings.TrimRight(addr, "/"), nil
 }
@@ -588,7 +587,6 @@ func (p *Pool) ClusterStats() service.ClusterStats {
 		WireConnections:         p.wireConns.Load(),
 		WireRequests:            p.wireReqs.Load(),
 		WireRows:                p.wireRows.Load(),
-		WireFallbacks:           p.wireFallbacks.Load(),
 	}
 }
 
@@ -741,12 +739,12 @@ func (p *Pool) maxFailures() int {
 }
 
 // do runs f against one shard, with bounded failover. Transient
-// failures (transport errors, 5xx, worker shutdown) open breakers and
-// — for idempotent work — move on to another shard, preferring ones
-// not yet tried this call; permanent failures (4xx: the request itself
-// is bad) return immediately without blaming the shard. Waiting for a
-// free slot is not an attempt: a fully busy pool simply queues here
-// until a slot frees or ctx expires. Because membership is re-read on
+// failures (a refused upgrade, transport errors, worker faults and
+// shutdown) open breakers and — for idempotent work — move on to
+// another shard, preferring ones not yet tried this call; permanent
+// failures (the request itself is bad) return immediately without
+// blaming the shard. Waiting for a free slot is not an attempt: a
+// fully busy pool simply queues here until a slot frees or ctx expires. Because membership is re-read on
 // every acquisition, a shard that joins mid-wait is picked up and one
 // that leaves stops being offered — an empty pool is the one terminal
 // case, failing fast with ErrNoShard.

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -44,20 +45,87 @@ func newWorker(t testing.TB, engineWorkers int) (*httptest.Server, *service.Engi
 	return srv, e
 }
 
-// newJSONWorker starts a worker without the wire transport mounted —
-// the "older worker / plain HTTP shard" a coordinator must fall back
-// to JSON for.
-func newJSONWorker(t testing.TB, engineWorkers int) (*httptest.Server, *service.Engine) {
+// Scripted worker behaviours (scriptedWorker.mode).
+const (
+	scriptOK        int32 = iota // upgrade; answer each request with one empty row
+	scriptTransient              // answer each request with a transient FrameError
+	scriptPermanent              // answer each request with a FlagPermanent FrameError
+	scriptRefuse                 // fail pings and refuse the upgrade
+)
+
+// scriptedWorker is a minimal rp-wire/2 shard whose every answer is
+// chosen at the moment it is asked — by mode, or by a custom answer
+// function — so tests can fail, heal or stall a shard on demand.
+type scriptedWorker struct {
+	mode   atomic.Int32
+	hits   atomic.Int64 // request frames received
+	srv    *httptest.Server
+	conns  sync.Map // hijacked net.Conn -> struct{}
+	answer func(f wire.Frame, fw *wire.Writer)
+}
+
+// newScriptedWorker starts a scripted worker. answer, when non-nil,
+// replies to every request frame instead of the mode-driven script;
+// its frames reach the peer as soon as each WriteFrame returns.
+func newScriptedWorker(t *testing.T, answer func(f wire.Frame, fw *wire.Writer)) *scriptedWorker {
 	t.Helper()
-	e := service.NewEngine(service.EngineOptions{Workers: engineWorkers})
-	srv := httptest.NewServer(service.NewHandlerOpts(e, service.HandlerOptions{MaxInlineCampaigns: -1}))
-	t.Cleanup(func() {
-		srv.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		e.Close(ctx)
-	})
-	return srv, e
+	w := &scriptedWorker{answer: answer}
+	if w.answer == nil {
+		w.answer = w.scripted
+	}
+	w.srv = httptest.NewServer(w)
+	t.Cleanup(w.kill)
+	return w
+}
+
+// kill simulates a worker crash: hijacked wire sessions are cut and
+// the listener stops accepting.
+func (w *scriptedWorker) kill() {
+	w.conns.Range(func(c, _ any) bool { c.(net.Conn).Close(); return true })
+	w.srv.CloseClientConnections()
+	w.srv.Close()
+}
+
+func (w *scriptedWorker) scripted(f wire.Frame, fw *wire.Writer) {
+	switch w.mode.Load() {
+	case scriptOK:
+		fw.WriteFrame(wire.FrameRow, 0, f.Stream, wire.AppendRow(nil, 0, "", []byte(`{}`)))
+		fw.WriteFrame(wire.FrameDone, 0, f.Stream, wire.AppendDone(nil, 1, 0))
+	case scriptPermanent:
+		fw.WriteFrame(wire.FrameError, wire.FlagPermanent, f.Stream, []byte("no such solver"))
+	default:
+		fw.WriteFrame(wire.FrameError, 0, f.Stream, []byte("injected"))
+	}
+}
+
+func (w *scriptedWorker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
+	if w.mode.Load() == scriptRefuse {
+		http.Error(rw, `{"error":"down"}`, http.StatusServiceUnavailable)
+		return
+	}
+	if r.URL.Path != "/v1/wire" {
+		rw.Write([]byte(`{"status":"ok","workers":1}`))
+		return
+	}
+	conn, brw, err := http.NewResponseController(rw).Hijack()
+	if err != nil {
+		return
+	}
+	w.conns.Store(conn, struct{}{})
+	defer conn.Close()
+	brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nUpgrade: " + wire.ProtocolName + "\r\nConnection: Upgrade\r\n\r\n")
+	if brw.Flush() != nil {
+		return
+	}
+	fr, fw := wire.NewReader(brw.Reader), wire.NewWriter(conn) // unbuffered
+	for {
+		f, err := fr.Next()
+		if err != nil {
+			return
+		}
+		w.hits.Add(1)
+		w.answer(f, fw)
+	}
 }
 
 // killServer simulates a worker crash: in-flight connections are cut —
@@ -97,16 +165,32 @@ func TestPoolRejectsBadAddrs(t *testing.T) {
 	if _, err := p.Solve(context.Background(), testInstance(1), "mb", core.Multiple, service.Options{}); !errors.Is(err, ErrNoShard) {
 		t.Fatalf("empty-pool solve err = %v, want ErrNoShard", err)
 	}
-	if _, err := NewPool([]string{"a:1", "a:1"}, PoolOptions{}); err == nil {
-		t.Fatal("duplicate shard accepted")
+	for _, tc := range []struct {
+		name  string
+		addrs []string
+	}{
+		{"duplicate", []string{"a:1", "a:1"}},
+		{"blank", []string{" "}},
+		// No daemon serves TLS, so an https shard could never upgrade.
+		{"https", []string{"https://a:1"}},
+	} {
+		if _, err := NewPool(tc.addrs, PoolOptions{ProbeInterval: -1}); err == nil {
+			t.Fatalf("%s: NewPool(%q) accepted", tc.name, tc.addrs)
+		}
+		if len(tc.addrs) == 1 {
+			if _, _, err := p.AddShard(tc.addrs[0], 0); err == nil {
+				t.Fatalf("%s: AddShard(%q) accepted", tc.name, tc.addrs[0])
+			}
+		}
 	}
-	if _, err := NewPool([]string{" "}, PoolOptions{}); err == nil {
-		t.Fatal("blank shard accepted")
+	if p.ShardCount() != 0 {
+		t.Fatalf("rejected addresses joined: %v", p.Addrs())
 	}
 }
 
-// TestPoolSolveMatchesLocal: a solve proxied through the pool returns
-// the same placement cost as running the solver in-process.
+// TestPoolSolveMatchesLocal: a solve proxied through the pool — over
+// the wire, as a FrameSolve — returns the same placement cost as
+// running the solver in-process.
 func TestPoolSolveMatchesLocal(t *testing.T) {
 	srv, e := newWorker(t, 2)
 	p := newTestPool(t, []string{srv.URL}, PoolOptions{ProbeInterval: -1})
@@ -116,9 +200,13 @@ func TestPoolSolveMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := p.ClusterStats().WireRequests
 	remote, err := p.Solve(context.Background(), in, "mb", core.Multiple, service.Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := p.ClusterStats().WireRequests; got <= before {
+		t.Fatalf("wire requests %d -> %d: the solve did not ride the wire", before, got)
 	}
 	if remote.Cost != local.Cost || remote.ReplicaCount != local.ReplicaCount {
 		t.Fatalf("remote = cost %d / %d replicas, local = cost %d / %d replicas",
@@ -126,6 +214,23 @@ func TestPoolSolveMatchesLocal(t *testing.T) {
 	}
 	if remote.Solution == nil {
 		t.Fatal("remote response without the solution the backend needs")
+	}
+}
+
+// TestPoolSolveErrorClasses: a real worker answers the requests the
+// HTTP surface would reject with 4xx as permanent FrameErrors, so they
+// neither fail over nor count against the shard.
+func TestPoolSolveErrorClasses(t *testing.T) {
+	srv, _ := newWorker(t, 1)
+	p := newTestPool(t, []string{srv.URL}, PoolOptions{ProbeInterval: -1})
+	for _, solver := range []string{"definitely-not-a-solver", ""} {
+		_, err := p.Solve(context.Background(), testInstance(1), solver, core.Multiple, service.Options{})
+		if err == nil || !isPermanent(err) {
+			t.Fatalf("solver %q: err = %v, want permanent", solver, err)
+		}
+	}
+	if st := p.ShardStats()[0]; !st.Healthy || st.Failures != 0 {
+		t.Fatalf("permanent errors poisoned the shard: %+v", st)
 	}
 }
 
@@ -168,22 +273,13 @@ func TestPoolFailover(t *testing.T) {
 }
 
 // TestPoolCircuitTransitions walks one shard's breaker through
-// closed → open → half-open → closed using a handler that fails on
-// demand, with the background prober disabled so every transition is
-// driven by recorded request outcomes.
+// closed → open → half-open → closed against a scripted worker that
+// fails on demand, with the background prober disabled so every
+// transition is driven by recorded request outcomes.
 func TestPoolCircuitTransitions(t *testing.T) {
-	var failing atomic.Bool
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if failing.Load() {
-			http.Error(w, `{"error":"injected"}`, http.StatusInternalServerError)
-			return
-		}
-		w.Write([]byte(`{}`))
-	}))
-	defer backend.Close()
-
+	w := newScriptedWorker(t, nil)
 	const openFor = 80 * time.Millisecond
-	p := newTestPool(t, []string{backend.URL}, PoolOptions{
+	p := newTestPool(t, []string{w.srv.URL}, PoolOptions{
 		ProbeInterval: -1,
 		FailThreshold: 2,
 		OpenFor:       openFor,
@@ -191,16 +287,9 @@ func TestPoolCircuitTransitions(t *testing.T) {
 	})
 	s := p.shards[0]
 	state := func() string { return p.ShardStats()[0].State }
-
 	callCtx := func(ctx context.Context) error {
-		return p.do(ctx, true, func(ctx context.Context, sh *shard) error {
-			resp, err := p.postJSON(ctx, sh, "/", nil)
-			if err != nil {
-				return err
-			}
-			resp.Body.Close()
-			return nil
-		})
+		_, err := p.Solve(ctx, testInstance(1), "mb", core.Multiple, service.Options{})
+		return err
 	}
 	call := func() error { return callCtx(context.Background()) }
 
@@ -209,10 +298,10 @@ func TestPoolCircuitTransitions(t *testing.T) {
 	}
 
 	// Two consecutive failures reach the threshold: closed -> open.
-	failing.Store(true)
+	w.mode.Store(scriptTransient)
 	for i := 0; i < 2; i++ {
-		if err := call(); err == nil {
-			t.Fatal("failing call succeeded")
+		if err := call(); err == nil || isPermanent(err) {
+			t.Fatalf("failing call: err=%v, want a transient failure", err)
 		}
 	}
 	if state() != "open" {
@@ -220,15 +309,15 @@ func TestPoolCircuitTransitions(t *testing.T) {
 	}
 
 	// While open, calls find no admissible shard and time out without
-	// ever reaching the backend.
-	before := p.ShardStats()[0].Requests
+	// ever reaching the worker.
+	before := w.hits.Load()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
 	err := callCtx(ctx)
 	cancel()
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("open-circuit call: %v, want deadline", err)
 	}
-	if got := p.ShardStats()[0].Requests; got != before {
+	if got := w.hits.Load(); got != before {
 		t.Fatalf("open circuit admitted traffic: %d -> %d requests", before, got)
 	}
 
@@ -236,14 +325,14 @@ func TestPoolCircuitTransitions(t *testing.T) {
 	// re-opening immediately (no threshold counting in half-open).
 	time.Sleep(openFor + 20*time.Millisecond)
 	if err := call(); err == nil {
-		t.Fatal("half-open trial against failing backend succeeded")
+		t.Fatal("half-open trial against failing worker succeeded")
 	}
 	if state() != "open" {
 		t.Fatalf("state after failed trial = %s, want open", state())
 	}
 
-	// Heal the backend; the trial after the window closes the circuit.
-	failing.Store(false)
+	// Heal the worker; the trial after the window closes the circuit.
+	w.mode.Store(scriptOK)
 	time.Sleep(openFor + 20*time.Millisecond)
 	// Observe the half-open admission itself: during tryAcquire the
 	// state flips to half-open before the request runs.
@@ -269,76 +358,58 @@ func TestPoolCircuitTransitions(t *testing.T) {
 	}
 }
 
-// TestPoolProbeRecovery: an open circuit closes again via the
-// background prober once the worker is healthy, without live traffic.
+// TestPoolProbeRecovery: a worker that refuses the wire upgrade fails
+// the call like any transient fault and opens its circuit; once the
+// worker is healthy the background prober closes it again, without
+// live traffic.
 func TestPoolProbeRecovery(t *testing.T) {
-	var failing atomic.Bool
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if failing.Load() {
-			http.Error(w, `{"error":"down"}`, http.StatusInternalServerError)
-			return
-		}
-		w.Write([]byte(`{"status":"ok"}`))
-	}))
-	defer backend.Close()
-
-	p := newTestPool(t, []string{backend.URL}, PoolOptions{
+	w := newScriptedWorker(t, nil)
+	w.mode.Store(scriptRefuse)
+	p := newTestPool(t, []string{w.srv.URL}, PoolOptions{
 		ProbeInterval: 20 * time.Millisecond,
 		FailThreshold: 1,
 		OpenFor:       time.Minute, // far longer than the probe period
 		MaxFailures:   1,
 	})
-	failing.Store(true)
-	p.do(context.Background(), true, func(ctx context.Context, s *shard) error {
-		resp, err := p.postJSON(ctx, s, "/", nil)
-		if err != nil {
-			return err
-		}
-		resp.Body.Close()
-		return nil
-	})
+	_, err := p.Solve(context.Background(), testInstance(1), "mb", core.Multiple, service.Options{})
+	if err == nil || isPermanent(err) {
+		t.Fatalf("refused upgrade: err=%v, want a transient failure", err)
+	}
 	if st := p.ShardStats()[0].State; st != "open" {
 		t.Fatalf("state after failure = %s, want open", st)
 	}
 
-	failing.Store(false)
+	w.mode.Store(scriptOK)
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if p.ShardStats()[0].Healthy {
-			return
+	for !p.ShardStats()[0].Healthy {
+		if time.Now().After(deadline) {
+			t.Fatal("prober never closed the circuit of a healthy worker")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatal("prober never closed the circuit of a healthy worker")
+	if _, err := p.Solve(context.Background(), testInstance(1), "mb", core.Multiple, service.Options{}); err != nil {
+		t.Fatalf("call after recovery: %v", err)
+	}
 }
 
-// TestPoolPermanentErrorNoFailover: a 4xx must neither fail over (the
-// second shard would fail identically) nor open the breaker.
+// TestPoolPermanentErrorNoFailover: a permanent FrameError must neither
+// fail over (the second shard would fail identically) nor open the
+// breaker.
 func TestPoolPermanentErrorNoFailover(t *testing.T) {
-	var hits1, hits2 atomic.Int64
-	bad := func(hits *atomic.Int64) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			hits.Add(1)
-			http.Error(w, `{"error":"no such solver"}`, http.StatusNotFound)
-		}
-	}
-	s1 := httptest.NewServer(bad(&hits1))
-	defer s1.Close()
-	s2 := httptest.NewServer(bad(&hits2))
-	defer s2.Close()
-
-	p := newTestPool(t, []string{s1.URL, s2.URL}, PoolOptions{ProbeInterval: -1})
-	in := testInstance(1)
-	_, err := p.Solve(context.Background(), in, "definitely-not-a-solver", core.Multiple, service.Options{})
+	w1, w2 := newScriptedWorker(t, nil), newScriptedWorker(t, nil)
+	w1.mode.Store(scriptPermanent)
+	w2.mode.Store(scriptPermanent)
+	p := newTestPool(t, []string{w1.srv.URL, w2.srv.URL}, PoolOptions{ProbeInterval: -1})
+	_, err := p.Solve(context.Background(), testInstance(1), "definitely-not-a-solver", core.Multiple, service.Options{})
 	if err == nil || !isPermanent(err) {
 		t.Fatalf("err = %v, want permanent", err)
 	}
-	if hits1.Load()+hits2.Load() != 1 {
-		t.Fatalf("4xx hit %d shards, want exactly 1 (no failover)", hits1.Load()+hits2.Load())
+	if hits := w1.hits.Load() + w2.hits.Load(); hits != 1 {
+		t.Fatalf("permanent error hit %d shards, want exactly 1 (no failover)", hits)
 	}
 	for _, st := range p.ShardStats() {
 		if !st.Healthy || st.Failures != 0 {
-			t.Fatalf("4xx poisoned shard stats: %+v", st)
+			t.Fatalf("permanent error poisoned shard stats: %+v", st)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
@@ -18,72 +17,36 @@ import (
 	"repro/internal/service"
 )
 
-// traceCapture records the X-RP-Trace-Id header of every request a
-// worker shard receives, keyed by path.
-type traceCapture struct {
-	mu   sync.Mutex
-	seen map[string][]string
-}
-
-func (c *traceCapture) record(r *http.Request) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.seen == nil {
-		c.seen = map[string][]string{}
-	}
-	c.seen[r.URL.Path] = append(c.seen[r.URL.Path], r.Header.Get(obs.TraceHeader))
-}
-
-func (c *traceCapture) traces(path string) []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.seen[path]...)
-}
-
-// TestTracePropagatesEndToEnd is the tracing propagation e2e, run once
-// per chunk transport: one trace ID, supplied by the client of a
-// coordinator, is (1) echoed on the coordinator's HTTP response, (2)
-// recorded on the job manifest and on every event of the job's
-// timeline, and (3) delivered to the worker shards — as the
-// X-RP-Trace-Id request header on the JSON path, as the FlagTraced
-// frame prefix on the binary wire path (observed through the workers'
-// span stores, since no HTTP header exists there).
+// TestTracePropagatesEndToEnd is the tracing propagation e2e: one
+// trace ID, supplied by the client of a coordinator, is (1) echoed on
+// the coordinator's HTTP response, (2) recorded on the job manifest and
+// on every event of the job's timeline, and (3) delivered to the worker
+// shards as the FlagTraced frame prefix of the binary wire (observed
+// through the workers' span stores, since no HTTP request exists
+// there).
 func TestTracePropagatesEndToEnd(t *testing.T) {
-	t.Run("json", func(t *testing.T) { testTracePropagation(t, false) })
-	t.Run("wire", func(t *testing.T) { testTracePropagation(t, true) })
+	t.Run("wire", testTracePropagation)
 }
 
-func testTracePropagation(t *testing.T, overWire bool) {
+func testTracePropagation(t *testing.T) {
 	const trace = "e2e-trace-0042"
 
-	// Two capture-wrapped worker shards. Wire-mode workers mount the
-	// binary transport with a flight recorder each; the HTTP capture
-	// then proves the chunks did NOT fall back to JSON.
-	var captures [2]*traceCapture
+	// Two worker shards, each with the binary transport and its own
+	// flight recorder.
 	var stores [2]*obs.SpanStore
 	var addrs []string
-	for i := range captures {
-		captures[i] = &traceCapture{}
+	for i := range stores {
 		e := service.NewEngine(service.EngineOptions{Workers: 2})
 		t.Cleanup(func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			e.Close(ctx)
 		})
-		opts := service.HandlerOptions{MaxInlineCampaigns: -1}
-		if overWire {
-			ws := wire.NewServer(e, nil)
-			stores[i] = obs.NewSpanStore(256)
-			ws.Spans = stores[i]
-			opts.Wire = ws
-			t.Cleanup(func() { ws.Close() })
-		}
-		inner := service.NewHandlerOpts(e, opts)
-		c := captures[i]
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			c.record(r)
-			inner.ServeHTTP(w, r)
-		}))
+		ws := wire.NewServer(e, nil)
+		stores[i] = obs.NewSpanStore(256)
+		ws.Spans = stores[i]
+		t.Cleanup(func() { ws.Close() })
+		srv := httptest.NewServer(service.NewHandlerOpts(e, service.HandlerOptions{MaxInlineCampaigns: -1, Wire: ws}))
 		t.Cleanup(srv.Close)
 		addrs = append(addrs, srv.URL)
 	}
@@ -220,46 +183,25 @@ func testTracePropagation(t *testing.T, overWire bool) {
 		t.Fatalf("timeline bounds = %s..%s, want queued..finished", first.Type, last.Type)
 	}
 
-	// (3) The shards saw the same trace ID on their batch chunks.
-	if overWire {
-		// The binary transport has no per-chunk HTTP request: the trace
-		// rides the FlagTraced frame prefix, and the proof it arrived is
-		// the worker-side wire.batch spans recorded under the client's ID.
-		recorded := 0
-		for i, store := range stores {
-			for _, sp := range store.TraceSpans(trace) {
-				if sp.TraceID != trace {
-					t.Fatalf("worker %d span %s trace = %q, want %q", i, sp.Name, sp.TraceID, trace)
-				}
-				if sp.Name == "wire.batch" {
-					recorded++
-				}
+	// (3) The shards saw the same trace ID on their batch chunks: it
+	// rides the FlagTraced frame prefix, and the proof it arrived is the
+	// worker-side wire.batch spans recorded under the client's ID.
+	recorded := 0
+	for i, store := range stores {
+		for _, sp := range store.TraceSpans(trace) {
+			if sp.TraceID != trace {
+				t.Fatalf("worker %d span %s trace = %q, want %q", i, sp.Name, sp.TraceID, trace)
+			}
+			if sp.Name == "wire.batch" {
+				recorded++
 			}
 		}
-		if recorded == 0 {
-			t.Fatal("no worker recorded a wire.batch span under the client's trace ID")
-		}
-		for i, c := range captures {
-			if got := c.traces("/v1/batch"); len(got) != 0 {
-				t.Fatalf("worker %d served %d batch chunks over JSON; all should ride the wire", i, len(got))
-			}
-		}
-		if st := p.ClusterStats(); st.WireRows == 0 {
-			t.Fatalf("cluster stats %+v claim no rows crossed the wire", st)
-		}
-	} else {
-		shardTraces := 0
-		for i, c := range captures {
-			for _, got := range c.traces("/v1/batch") {
-				if got != trace {
-					t.Fatalf("worker %d got %s = %q, want %q", i, obs.TraceHeader, got, trace)
-				}
-				shardTraces++
-			}
-		}
-		if shardTraces == 0 {
-			t.Fatal("no /v1/batch request reached any shard")
-		}
+	}
+	if recorded == 0 {
+		t.Fatal("no worker recorded a wire.batch span under the client's trace ID")
+	}
+	if st := p.ClusterStats(); st.WireRows == 0 {
+		t.Fatalf("cluster stats %+v claim no rows crossed the wire", st)
 	}
 
 	// Bonus contract checks: an error response carries the trace ID in

@@ -1,17 +1,17 @@
 // Package wire is the cluster's binary streaming transport: a
 // length-prefixed framing protocol spoken over persistent connections
-// between a coordinator and its worker shards, replacing a fresh
-// JSON/HTTP request per batch chunk or campaign row.
+// between a coordinator and its worker shards. Every remote solve,
+// batch chunk and campaign row rides it.
 //
 // A connection starts as a plain HTTP/1.1 upgrade (GET /v1/wire with
-// "Upgrade: rp-wire/1"); after the 101 both ends exchange frames:
+// "Upgrade: rp-wire/2"); after the 101 both ends exchange frames:
 //
 //	type(1) | flags(1) | stream(4, LE) | length(4, LE) | payload
 //
-// The client sends one request frame (FrameBatch or FrameCampaign) at a
-// time per connection and reads response frames for the same stream ID
-// until FrameDone or FrameError; concurrency comes from pooling
-// connections, not from interleaving streams. Row frames carry the
+// The client sends one request frame (FrameSolve, FrameBatch or
+// FrameCampaign) at a time per connection and reads response frames for
+// the same stream ID until FrameDone or FrameError; concurrency comes
+// from pooling connections, not from interleaving streams. Row frames carry the
 // chunk-local index and error text in a compact binary header and the
 // result body as the worker's canonical JSON encoding — the coordinator
 // re-indexes on the header alone and relays the body bytes untouched.
@@ -28,23 +28,12 @@ import (
 	"io"
 )
 
-// Version is the protocol version negotiated by the HTTP upgrade.
-const Version = 1
-
-// ProtocolName is the Upgrade token ("rp-wire/<version>").
-const ProtocolName = "rp-wire/1"
-
-// VersionTraced is the protocol revision that adds trace context:
-// request frames may carry FlagTraced (a trace/parent-span prefix
-// before the request payload) and FrameDone may carry the worker's
-// spans after its two counters. Negotiation stays the HTTP upgrade: a
-// client offers rp-wire/2 first; a v1-only server refuses with its 426
-// (whose Upgrade header names rp-wire/1), telling the client to redial
-// at v1 — so an old worker still interoperates, it just loses spans.
-const VersionTraced = 2
-
-// ProtocolV2 is the Upgrade token for VersionTraced.
-const ProtocolV2 = "rp-wire/2"
+// ProtocolName is the Upgrade token. Its revision 2 carries trace
+// context: request frames may carry FlagTraced (a trace/parent-span
+// prefix before the request payload) and FrameDone may carry the
+// worker's spans after its two counters. It is the only revision any
+// daemon speaks; a server refuses every other token with a 426.
+const ProtocolName = "rp-wire/2"
 
 // Frame types. Requests flow coordinator→worker, the rest worker→
 // coordinator.
@@ -57,6 +46,10 @@ const (
 	// encoding — the win here is the persistent connection, not the
 	// payload bytes.
 	FrameCampaign byte = 0x02
+	// FrameSolve carries a JSON /v1/solve request body; the answer is
+	// one FrameRow holding the JSON response, then FrameDone. Like
+	// campaign configs, a single solve keeps the JSON encoding.
+	FrameSolve byte = 0x03
 	// FrameRow is one result row: binary header (chunk-local index,
 	// error text) plus the row's JSON body (see AppendRow).
 	FrameRow byte = 0x10
@@ -72,12 +65,11 @@ const (
 // failure — the binary analogue of an HTTP 4xx.
 const FlagPermanent byte = 0x01
 
-// FlagTraced on a request frame (rp-wire/2 only) marks a trace-context
-// prefix ahead of the request payload: the binary analogue of the
-// X-RP-Trace-Id and X-RP-Parent-Span headers. The prefix lives at the
-// frame layer — not inside the batch codec, whose decoder rejects
-// trailing bytes by design — so the request encodings themselves are
-// identical across versions.
+// FlagTraced on a request frame marks a trace-context prefix ahead of
+// the request payload: the trace ID and the coordinator's active span.
+// The prefix lives at the frame layer — not inside the batch codec,
+// whose decoder rejects trailing bytes by design — so the request
+// encodings themselves are the same traced or not.
 const FlagTraced byte = 0x02
 
 // MaxFrame bounds a frame payload, mirroring the HTTP layer's 64 MiB
@@ -190,8 +182,8 @@ func AppendDone(buf []byte, items, failed int) []byte {
 	return binary.AppendUvarint(buf, uint64(failed))
 }
 
-// ParseDone decodes a FrameDone payload. Trailing bytes (the rp-wire/2
-// span block) are deliberately ignored — use ParseDoneSpans to read
+// ParseDone decodes a FrameDone payload. Trailing bytes (the span
+// block) are deliberately ignored — use ParseDoneSpans to read
 // them.
 func ParseDone(p []byte) (items, failed int, err error) {
 	i, n := binary.Uvarint(p)
@@ -245,9 +237,8 @@ const maxDoneSpans = 4 << 20
 
 // AppendDoneSpans appends a FrameDone payload carrying the worker's
 // spans for the request: the two AppendDone counters, then a
-// uvarint-length-prefixed JSON array of spans. A v1 peer's ParseDone
-// skips the block untouched, which is what makes shipping spans inside
-// FrameDone backward-compatible.
+// uvarint-length-prefixed JSON array of spans. ParseDone skips the
+// block untouched; ParseDoneSpans reads it.
 func AppendDoneSpans(buf []byte, items, failed int, spansJSON []byte) []byte {
 	buf = AppendDone(buf, items, failed)
 	if len(spansJSON) == 0 || len(spansJSON) > maxDoneSpans {
@@ -258,8 +249,8 @@ func AppendDoneSpans(buf []byte, items, failed int, spansJSON []byte) []byte {
 }
 
 // ParseDoneSpans returns the span block of a FrameDone payload, nil
-// when the peer sent none (a v1 worker, or spans disabled). The bytes
-// alias p.
+// when the peer sent none (an untraced request, or spans disabled).
+// The bytes alias p.
 func ParseDoneSpans(p []byte) ([]byte, error) {
 	// Skip the two counters ParseDone validated.
 	for i := 0; i < 2; i++ {

@@ -21,7 +21,8 @@ import (
 
 // Server is the worker-side end of the wire transport: an http.Handler
 // for GET /v1/wire that hijacks the connection after a protocol upgrade
-// and then serves batch chunks and campaign rows as frames over it.
+// and then serves remote solves, batch chunks and campaign rows as
+// frames over it.
 // Mount it via service.HandlerOptions.Wire.
 type Server struct {
 	e   *service.Engine
@@ -77,22 +78,12 @@ func (s *Server) untrack(c net.Conn) {
 	s.mu.Unlock()
 }
 
-// ServeHTTP negotiates the upgrade. The server speaks both rp-wire/2
-// (trace context) and rp-wire/1, echoing whichever token the client
-// offered; anything else answers a plain HTTP 426 naming rp-wire/1 —
-// which a v2 coordinator reads as "redial at v1" and an old
-// coordinator reads as "this shard speaks JSON only". That is the
-// whole version handshake.
+// ServeHTTP negotiates the upgrade: a request offering rp-wire/2 is
+// switched to the frame protocol; anything else answers a plain HTTP
+// 426 naming rp-wire/2. That is the whole handshake.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	offered := r.Header.Get("Upgrade")
-	version := 0
-	switch {
-	case strings.EqualFold(offered, ProtocolV2):
-		version = VersionTraced
-	case strings.EqualFold(offered, ProtocolName):
-		version = Version
-	}
-	if version == 0 || !headerContainsToken(r.Header, "Connection", "upgrade") {
+	if !strings.EqualFold(r.Header.Get("Upgrade"), ProtocolName) ||
+		!headerContainsToken(r.Header, "Connection", "upgrade") {
 		w.Header().Set("Upgrade", ProtocolName)
 		http.Error(w, "this endpoint speaks "+ProtocolName+" only", http.StatusUpgradeRequired)
 		return
@@ -112,17 +103,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer conn.Close()
 	conn.SetDeadline(time.Time{}) // the server's read timeouts no longer apply
 
-	token := ProtocolName
-	if version == VersionTraced {
-		token = ProtocolV2
-	}
 	rw.Writer.WriteString("HTTP/1.1 101 Switching Protocols\r\nUpgrade: " +
-		token + "\r\nConnection: Upgrade\r\n\r\n")
+		ProtocolName + "\r\nConnection: Upgrade\r\n\r\n")
 	if err := rw.Writer.Flush(); err != nil {
 		return
 	}
-	s.log.Debug("wire session open", "remote", conn.RemoteAddr().String(), "version", version)
-	err = s.session(rw.Reader, conn, version)
+	s.log.Debug("wire session open", "remote", conn.RemoteAddr().String())
+	err = s.session(rw.Reader, conn)
 	if err != nil && !errors.Is(err, io.EOF) {
 		s.log.Debug("wire session closed", "remote", conn.RemoteAddr().String(), "error", err)
 	}
@@ -130,7 +117,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // session serves one connection: request frames in, row streams out,
 // until the peer closes or a protocol error poisons the framing.
-func (s *Server) session(br *bufio.Reader, conn net.Conn, version int) error {
+func (s *Server) session(br *bufio.Reader, conn net.Conn) error {
 	r := NewReader(br)
 	bw := bufio.NewWriter(conn)
 	w := NewWriter(bw)
@@ -140,10 +127,12 @@ func (s *Server) session(br *bufio.Reader, conn net.Conn, version int) error {
 			return err
 		}
 		switch f.Type {
+		case FrameSolve:
+			err = s.serveSolve(w, bw, f)
 		case FrameBatch:
-			err = s.serveBatch(w, bw, f, version)
+			err = s.serveBatch(w, bw, f)
 		case FrameCampaign:
-			err = s.serveCampaign(w, bw, f, version)
+			err = s.serveCampaign(w, bw, f)
 		default:
 			return errors.New("wire: unexpected frame type")
 		}
@@ -166,14 +155,23 @@ func (w *Writer) fail(bw *bufio.Writer, stream uint32, permanent bool, err error
 	return bw.Flush()
 }
 
+// done terminates a successful stream, shipping the request's spans
+// back when it was traced.
+func (w *Writer) done(bw *bufio.Writer, stream uint32, items, failed int, coll *obs.Collector) error {
+	if err := w.WriteFrame(FrameDone, 0, stream, AppendDoneSpans(nil, items, failed, doneSpans(coll))); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
 // requestContext builds one request's context: cancelation plus, on a
-// v2 traced frame, the caller's trace identity and a span collector so
+// traced frame, the caller's trace identity and a span collector so
 // the request's spans can ride back in FrameDone. The returned payload
 // is the frame payload with any trace prefix stripped.
-func (s *Server) requestContext(f Frame, version int) (ctx context.Context, cancel context.CancelFunc, payload []byte, coll *obs.Collector, err error) {
+func (s *Server) requestContext(f Frame) (ctx context.Context, cancel context.CancelFunc, payload []byte, coll *obs.Collector, err error) {
 	ctx, cancel = context.WithCancel(context.Background())
 	payload = f.Payload
-	if version < VersionTraced || f.Flags&FlagTraced == 0 {
+	if f.Flags&FlagTraced == 0 {
 		return ctx, cancel, payload, nil, nil
 	}
 	traceID, parentSpan, rest, perr := ParseTraceContext(f.Payload)
@@ -209,8 +207,35 @@ func doneSpans(coll *obs.Collector) []byte {
 	return data
 }
 
-func (s *Server) serveBatch(w *Writer, bw *bufio.Writer, f Frame, version int) error {
-	ctx, cancel, payload, coll, err := s.requestContext(f, version)
+// serveSolve answers a FrameSolve with one row holding the /v1/solve
+// response JSON. It runs the HTTP handler's own decode/validate/solve
+// path, so both surfaces fail the same requests the same way; a 4xx
+// outcome is permanent, anything else may fail over.
+func (s *Server) serveSolve(w *Writer, bw *bufio.Writer, f Frame) error {
+	ctx, cancel, payload, coll, err := s.requestContext(f)
+	defer cancel()
+	if err != nil {
+		return w.fail(bw, f.Stream, true, err)
+	}
+	ctx, span := obs.StartSpan(ctx, "wire.solve")
+	resp, status, err := s.e.SolveJSON(ctx, bytes.NewReader(payload), "")
+	var body []byte
+	if err == nil {
+		body, err = json.Marshal(resp)
+	}
+	span.SetError(err)
+	span.End()
+	if err != nil {
+		return w.fail(bw, f.Stream, status >= 400 && status < 500, err)
+	}
+	if err := w.WriteFrame(FrameRow, 0, f.Stream, AppendRow(nil, 0, "", body)); err != nil {
+		return err
+	}
+	return w.done(bw, f.Stream, 1, 0, coll)
+}
+
+func (s *Server) serveBatch(w *Writer, bw *bufio.Writer, f Frame) error {
+	ctx, cancel, payload, coll, err := s.requestContext(f)
 	defer cancel()
 	if err != nil {
 		return w.fail(bw, f.Stream, true, err)
@@ -269,15 +294,11 @@ func (s *Server) serveBatch(w *Writer, bw *bufio.Writer, f Frame, version int) e
 	if werr != nil {
 		return werr
 	}
-	done := AppendDoneSpans(nil, len(req.Variations), failed, doneSpans(coll))
-	if err := w.WriteFrame(FrameDone, 0, f.Stream, done); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return w.done(bw, f.Stream, len(req.Variations), failed, coll)
 }
 
-func (s *Server) serveCampaign(w *Writer, bw *bufio.Writer, f Frame, version int) error {
-	ctx, cancel, payload, coll, err := s.requestContext(f, version)
+func (s *Server) serveCampaign(w *Writer, bw *bufio.Writer, f Frame) error {
+	ctx, cancel, payload, coll, err := s.requestContext(f)
 	defer cancel()
 	if err != nil {
 		return w.fail(bw, f.Stream, true, err)
@@ -321,11 +342,7 @@ func (s *Server) serveCampaign(w *Writer, bw *bufio.Writer, f Frame, version int
 		// healthier.
 		return w.fail(bw, f.Stream, false, err)
 	}
-	done := AppendDoneSpans(nil, rows, 0, doneSpans(coll))
-	if err := w.WriteFrame(FrameDone, 0, f.Stream, done); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return w.done(bw, f.Stream, rows, 0, coll)
 }
 
 // headerContainsToken reports whether any comma-separated value of the

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -14,140 +13,98 @@ import (
 	"time"
 
 	"repro/internal/cluster/wire"
-	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/service"
 )
-
-// errWireUnsupported marks a shard that answered the upgrade with plain
-// HTTP (an older worker, a TLS endpoint, -wire=false): the caller falls
-// back to the JSON path and remembers the verdict until a successful
-// ping invites a retry.
-var errWireUnsupported = errors.New("cluster: shard does not speak " + wire.ProtocolName)
 
 // maxIdleWireConns bounds the per-shard idle connection pool. Beyond
 // it, finished connections are closed instead of parked — enough to
 // cover a busy shard's in-flight slots without hoarding sockets.
 const maxIdleWireConns = 16
 
+// handshakeTimeout caps a connection's dial plus upgrade handshake; a
+// caller's earlier deadline cuts it shorter.
+const handshakeTimeout = 5 * time.Second
+
 // wireConn is one persistent upgraded connection to a shard. A
 // connection serves one request at a time (concurrency comes from
 // pooling connections), so its reader, writer and stream counter need
 // no locking.
 type wireConn struct {
-	conn    net.Conn
-	br      *bufio.Reader
-	bw      *bufio.Writer
-	r       *wire.Reader
-	w       *wire.Writer
-	stream  uint32
-	version int // negotiated protocol revision (wire.Version or wire.VersionTraced)
+	conn   net.Conn
+	br     *bufio.Reader
+	bw     *bufio.Writer
+	r      *wire.Reader
+	w      *wire.Writer
+	stream uint32
 }
 
-// watch closes the connection when ctx is canceled, unblocking any
-// read in flight; the returned stop releases the watcher.
-func (wc *wireConn) watch(ctx context.Context) (stop func()) {
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			wc.conn.Close()
-		case <-done:
-		}
-	}()
-	return func() { close(done) }
-}
-
-// shardWire is a shard's wire-transport state: parked idle connections
-// plus the "speaks JSON only" verdict. It has its own lock — wire
-// checkouts must not contend with the breaker path.
+// shardWire is a shard's parked idle connections. It has its own lock —
+// wire checkouts must not contend with the breaker path.
 type shardWire struct {
-	mu       sync.Mutex
-	idle     []*wireConn
-	down     bool // upgrade refused; cleared by a successful ping
-	closed   bool // the shard left the pool; park nothing, close everything
-	v1Logged bool // the rp-wire/1 redial was journaled; cleared by wireUp
+	mu     sync.Mutex
+	idle   []*wireConn
+	closed bool // the shard left the pool; park nothing, close everything
 }
 
-// dialWire opens a TCP connection to the shard and upgrades it to the
-// wire protocol, offering rp-wire/2 first. A worker that only knows
-// rp-wire/1 refuses the v2 token with its standard 426 — whose Upgrade
-// header names rp-wire/1 — and we redial at v1 (the connection is dead
-// after an upgrade refusal: http.Error closes it). Anything but a
-// clean 101 with a protocol token is errWireUnsupported — the version
-// handshake is exactly "both ends name a protocol or we speak JSON".
-func dialWire(ctx context.Context, addr string) (*wireConn, error) {
-	wc, err := dialWireVersion(ctx, addr, wire.ProtocolV2, wire.VersionTraced)
-	if errors.Is(err, errWireDowngrade) {
-		wc, err = dialWireVersion(ctx, addr, wire.ProtocolName, wire.Version)
-	}
-	if errors.Is(err, errWireDowngrade) {
-		return nil, errWireUnsupported
-	}
-	return wc, err
-}
-
-// errWireDowngrade is dialWireVersion's "the shard named rp-wire/1
-// instead" verdict: retry once at v1 before declaring the shard
-// JSON-only.
-var errWireDowngrade = errors.New("cluster: shard offered " + wire.ProtocolName)
-
-func dialWireVersion(ctx context.Context, addr, token string, version int) (*wireConn, error) {
+// dialWire opens a TCP connection to the shard and upgrades it to
+// rp-wire/2. Anything but a clean 101 naming the protocol is an
+// ordinary transient failure, which the pool's breaker and failover
+// handle like any other. The handshake ends by the caller's deadline
+// (capped at handshakeTimeout), and canceling ctx closes the
+// connection under a blocked read.
+func dialWire(ctx context.Context, addr string) (_ *wireConn, err error) {
 	u, err := url.Parse(addr)
 	if err != nil || u.Host == "" {
 		return nil, &permanentError{fmt.Errorf("cluster: bad shard address %q", addr)}
 	}
-	if u.Scheme != "http" {
-		return nil, errWireUnsupported // TLS shards stay on the JSON path
+	deadline := time.Now().Add(handshakeTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
 	}
-	d := net.Dialer{Timeout: 5 * time.Second, KeepAlive: 15 * time.Second}
-	conn, err := d.DialContext(ctx, "tcp", u.Host)
+	dialer := net.Dialer{Deadline: deadline, KeepAlive: 15 * time.Second}
+	conn, err := dialer.DialContext(ctx, "tcp", u.Host)
 	if err != nil {
 		return nil, err
 	}
+	conn.SetDeadline(deadline)
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	defer func() {
+		if !stop() && err == nil {
+			err = ctx.Err() // canceled just as the handshake finished
+		}
+		if err == nil {
+			return
+		}
+		conn.Close()
+		if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+			<-ctx.Done() // the conn deadline was the caller's: report it as such
+		}
+		if cerr := ctx.Err(); cerr != nil {
+			err = cerr
+		}
+	}()
 	req, err := http.NewRequest(http.MethodGet, addr+"/v1/wire", nil)
 	if err != nil {
-		conn.Close()
 		return nil, &permanentError{err}
 	}
-	req.Header.Set("Upgrade", token)
+	req.Header.Set("Upgrade", wire.ProtocolName)
 	req.Header.Set("Connection", "Upgrade")
-	conn.SetDeadline(time.Now().Add(5 * time.Second)) // the handshake only
 	if err := req.Write(conn); err != nil {
-		conn.Close()
 		return nil, err
 	}
 	br := bufio.NewReader(conn)
 	resp, err := http.ReadResponse(br, req)
 	if err != nil {
-		conn.Close()
 		return nil, err
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusSwitchingProtocols ||
-		!strings.EqualFold(resp.Header.Get("Upgrade"), token) {
-		downgrade := token != wire.ProtocolName &&
-			strings.EqualFold(resp.Header.Get("Upgrade"), wire.ProtocolName)
-		conn.Close()
-		if downgrade {
-			return nil, errWireDowngrade
-		}
-		return nil, errWireUnsupported
+		!strings.EqualFold(resp.Header.Get("Upgrade"), wire.ProtocolName) {
+		return nil, fmt.Errorf("cluster: %s refused the %s upgrade: status %d", addr, wire.ProtocolName, resp.StatusCode)
 	}
 	conn.SetDeadline(time.Time{})
 	bw := bufio.NewWriter(conn)
-	return &wireConn{conn: conn, br: br, bw: bw, r: wire.NewReader(br), w: wire.NewWriter(bw), version: version}, nil
-}
-
-// wireEnabled reports whether this shard should be tried over the wire
-// transport right now.
-func (p *Pool) wireEnabled(s *shard) bool {
-	if p.opts.DisableWire {
-		return false
-	}
-	s.wire.mu.Lock()
-	defer s.wire.mu.Unlock()
-	return !s.wire.down && !s.wire.closed
+	return &wireConn{conn: conn, br: br, bw: bw, r: wire.NewReader(br), w: wire.NewWriter(bw)}, nil
 }
 
 // wireCheckout hands out an idle connection or dials a fresh one.
@@ -169,21 +126,6 @@ func (p *Pool) wireCheckout(ctx context.Context, s *shard) (wc *wireConn, reused
 		return nil, false, err
 	}
 	p.wireConns.Add(1)
-	if wc.version < wire.VersionTraced {
-		// The shard refused rp-wire/2 and the dial succeeded only after
-		// the v1 redial. Journal that once per downgrade episode (the
-		// flag resets when a ping clears the wire state, so a worker
-		// upgraded in place is re-announced if it regresses).
-		s.wire.mu.Lock()
-		logged := s.wire.v1Logged
-		s.wire.v1Logged = true
-		s.wire.mu.Unlock()
-		if !logged {
-			p.opts.Events.Emit(ctx, "wire_redial",
-				"shard speaks rp-wire/1 only; redialed at the downgraded version",
-				"shard", s.addr)
-		}
-	}
 	return wc, false, nil
 }
 
@@ -191,35 +133,11 @@ func (p *Pool) wireCheckout(ctx context.Context, s *shard) (wc *wireConn, reused
 func (s *shard) wireCheckin(wc *wireConn) {
 	s.wire.mu.Lock()
 	defer s.wire.mu.Unlock()
-	if s.wire.closed || s.wire.down || len(s.wire.idle) >= maxIdleWireConns {
+	if s.wire.closed || len(s.wire.idle) >= maxIdleWireConns {
 		wc.conn.Close()
 		return
 	}
 	s.wire.idle = append(s.wire.idle, wc)
-}
-
-// wireDown records an upgrade refusal and drops the idle pool. The
-// shard serves JSON until a successful ping clears the flag — so a
-// worker restarted with the wire enabled is rediscovered within one
-// probe interval.
-func (s *shard) wireDown() {
-	s.wire.mu.Lock()
-	s.wire.down = true
-	idle := s.wire.idle
-	s.wire.idle = nil
-	s.wire.mu.Unlock()
-	for _, wc := range idle {
-		wc.conn.Close()
-	}
-}
-
-// wireUp clears the JSON-only verdict (called on every successful
-// ping, bounding fruitless upgrade retries to one per probe interval).
-func (s *shard) wireUp() {
-	s.wire.mu.Lock()
-	s.wire.down = false
-	s.wire.v1Logged = false
-	s.wire.mu.Unlock()
 }
 
 // wireClose tears down the shard's wire state for good (it left the
@@ -233,17 +151,6 @@ func (s *shard) wireClose() {
 	for _, wc := range idle {
 		wc.conn.Close()
 	}
-}
-
-// recordWireFallback notes a refused upgrade: the shard is marked
-// JSON-only (until a successful ping clears it) and the fallback
-// counter feeds rp_cluster_wire_fallback_total.
-func (p *Pool) recordWireFallback(s *shard) {
-	p.wireFallbacks.Add(1)
-	s.wireDown()
-	p.log.Info("shard declined wire upgrade; using JSON transport", "shard", s.addr)
-	p.opts.Events.Emit(context.Background(), "wire_fallback",
-		"shard declined the wire upgrade; traffic falls back to JSON", "shard", s.addr)
 }
 
 // wireDo runs one request/response exchange over the shard's wire
@@ -275,11 +182,12 @@ func (p *Pool) wireDo(ctx context.Context, s *shard, typ byte, payload []byte, o
 // true only when the connection failed before producing any frame —
 // the one case where the request provably never started.
 func (p *Pool) wireExchange(ctx context.Context, s *shard, wc *wireConn, typ byte, payload []byte, onRow func(int, string, []byte) error) (retryable bool, err error) {
-	stop := wc.watch(ctx)
+	// Canceling ctx closes the connection, unblocking any read in
+	// flight; a connection the cancel reached is never parked again.
+	stop := context.AfterFunc(ctx, func() { wc.conn.Close() })
 	healthy := false
 	defer func() {
-		stop()
-		if healthy {
+		if stop() && healthy {
 			s.wireCheckin(wc)
 		} else {
 			wc.conn.Close()
@@ -289,16 +197,13 @@ func (p *Pool) wireExchange(ctx context.Context, s *shard, wc *wireConn, typ byt
 	span := obs.StartLeaf(ctx, "cluster.wire_exchange")
 	span.SetAttr("shard", s.addr)
 	defer func() { span.SetError(err); span.End() }()
-	// On an rp-wire/2 connection the request frame carries the trace
-	// context the JSON path puts in headers — this is what keeps the
-	// "one trace ID end-to-end" contract on the binary transport.
+	// The request frame carries the trace context — this is what keeps
+	// the "one trace ID end-to-end" contract on the binary transport.
 	var flags byte
-	if wc.version >= wire.VersionTraced {
-		if trace := obs.Trace(ctx); trace != "" {
-			framed := wire.AppendTraceContext(make([]byte, 0, len(payload)+len(trace)+16), trace, obs.ParentSpan(ctx))
-			payload = append(framed, payload...)
-			flags = wire.FlagTraced
-		}
+	if trace := obs.Trace(ctx); trace != "" {
+		framed := wire.AppendTraceContext(make([]byte, 0, len(payload)+len(trace)+16), trace, obs.ParentSpan(ctx))
+		payload = append(framed, payload...)
+		flags = wire.FlagTraced
 	}
 	start := time.Now()
 	wc.stream++
@@ -357,8 +262,8 @@ func (p *Pool) wireExchange(ctx context.Context, s *shard, wc *wireConn, typ byt
 	}
 }
 
-// importDoneSpans copies the worker's spans (the rp-wire/2 span block
-// of a FrameDone payload) into this process's flight recorder, so the
+// importDoneSpans copies the worker's spans (the span block of a
+// FrameDone payload) into this process's flight recorder, so the
 // coordinator holds the whole cross-process trace. Malformed blocks
 // are dropped, never fatal — spans are diagnostics, not data.
 func (p *Pool) importDoneSpans(ctx context.Context, done []byte) {
@@ -377,45 +282,4 @@ func (p *Pool) importDoneSpans(ctx context.Context, done []byte) {
 	for _, sp := range spans {
 		store.AddSpan(sp)
 	}
-}
-
-// wireBatchChunk is BatchChunk's binary path: the chunk is shipped as
-// one varint-packed frame and every row comes back as raw JSON bytes
-// the caller relays without decoding (BatchLine.Raw).
-func (p *Pool) wireBatchChunk(ctx context.Context, s *shard, payload *service.BatchPayload, deliver func(service.BatchLine)) error {
-	buf := wire.AppendBatchRequest(nil, payload)
-	return p.wireDo(ctx, s, wire.FrameBatch, buf, func(idx int, msg string, body []byte) error {
-		line := service.BatchLine{Index: idx, Error: msg}
-		if msg == "" {
-			line.Raw = body // freshly allocated per frame; safe to retain
-		}
-		deliver(line)
-		return nil
-	})
-}
-
-// wireCampaignRow is CampaignRow's persistent-connection path. The
-// config rides as JSON (campaign rows are seconds of compute each; the
-// win is skipping connection setup, not payload bytes), rows come back
-// as framed JSON bodies.
-func (p *Pool) wireCampaignRow(ctx context.Context, s *shard, cfg experiments.Config) (experiments.Row, int, error) {
-	body, err := json.Marshal(campaignWire{Config: cfg})
-	if err != nil {
-		return experiments.Row{}, 0, &permanentError{err}
-	}
-	var out experiments.Row
-	rows := 0
-	err = p.wireDo(ctx, s, wire.FrameCampaign, body, func(_ int, msg string, body []byte) error {
-		if msg != "" {
-			return fmt.Errorf("cluster: %s wire campaign row: %s", s.addr, msg)
-		}
-		var row experiments.Row
-		if err := json.Unmarshal(body, &row); err != nil {
-			return fmt.Errorf("cluster: %s wire campaign row: %w", s.addr, err)
-		}
-		out = row
-		rows++
-		return nil
-	})
-	return out, rows, err
 }

@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -64,7 +66,7 @@ func TestRouteBatchBinaryBytesMatchLocal(t *testing.T) {
 	if len(routed) != n {
 		t.Fatalf("got %d routed lines, want %d", len(routed), n)
 	}
-	if st := p.ClusterStats(); st.WireRows != n || st.WireFallbacks != 0 {
+	if st := p.ClusterStats(); st.WireRows != n {
 		t.Fatalf("wire stats = %+v, want all %d rows over the binary transport", st, n)
 	}
 
@@ -257,7 +259,7 @@ func TestWireDoDrainsStaleIdleConns(t *testing.T) {
 	const n = 2
 	req := routedBatchPayload(t, in, "mb", n)
 	rows := 0
-	err := p.wireBatchChunk(context.Background(), s, req, func(line service.BatchLine) {
+	err := p.BatchChunk(context.Background(), req, func(line service.BatchLine) {
 		if line.Error != "" {
 			t.Errorf("row %d: %s", line.Index, line.Error)
 		}
@@ -274,50 +276,65 @@ func TestWireDoDrainsStaleIdleConns(t *testing.T) {
 	}
 }
 
-// TestRouteBatchJSONFallback: a shard that doesn't serve /v1/wire (an
-// older worker, a plain HTTP server) is detected once and served over
-// the JSON path — the batch still completes, rows still route.
-func TestRouteBatchJSONFallback(t *testing.T) {
-	srv, _ := newJSONWorker(t, 2)
-	p := newTestPool(t, []string{srv.URL}, PoolOptions{ProbeInterval: -1})
-	ce := newCoordinatorEngine(t, p, 1)
+// TestWireHandshakeHonorsDeadline: against a shard that accepts the
+// connection and never answers the upgrade, a chunk ends with the
+// caller's own context error as soon as that context is done — not
+// after the handshake's fixed cap.
+func TestWireHandshakeHonorsDeadline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var held []net.Conn
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	})
+	req := routedBatchPayload(t, testInstance(1), "mb", 1)
 
-	in := gen.Instance(gen.Config{Internal: 6, Clients: 12, Lambda: 0.4, UnitCosts: true}, 17)
-	const n = 6
-	req := routedBatchPayload(t, in, "mb@remote", n)
-	lines := collectRouted(t, p, ce, req)
-	if len(lines) != n {
-		t.Fatalf("got %d lines, want %d", len(lines), n)
-	}
-	st := p.ClusterStats()
-	if st.WireFallbacks == 0 {
-		t.Fatal("no wire fallback recorded against a JSON-only shard")
-	}
-	if st.WireRows != 0 {
-		t.Fatalf("%d rows claimed to travel a wire that doesn't exist", st.WireRows)
-	}
-	if st.RowsRouted != n || st.RowsLocalFallback != 0 {
-		t.Fatalf("cluster stats = %+v, want all %d rows routed over JSON", st, n)
-	}
-}
-
-// TestPoolWireDisabled: PoolOptions.DisableWire keeps everything on
-// JSON without ever dialing /v1/wire, even against a wire-capable
-// worker.
-func TestPoolWireDisabled(t *testing.T) {
-	srv, _ := newWorker(t, 2)
-	p := newTestPool(t, []string{srv.URL}, PoolOptions{ProbeInterval: -1, DisableWire: true})
-	ce := newCoordinatorEngine(t, p, 1)
-
-	in := gen.Instance(gen.Config{Internal: 6, Clients: 12, Lambda: 0.4, UnitCosts: true}, 19)
-	const n = 4
-	lines := collectRouted(t, p, ce, routedBatchPayload(t, in, "mb@remote", n))
-	if len(lines) != n {
-		t.Fatalf("got %d lines, want %d", len(lines), n)
-	}
-	st := p.ClusterStats()
-	if st.WireConnections != 0 || st.WireRequests != 0 || st.WireFallbacks != 0 {
-		t.Fatalf("wire stats %+v, want no wire activity at all", st)
+	for _, tc := range []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc)
+		want error
+	}{
+		{"deadline", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), 100*time.Millisecond)
+		}, context.DeadlineExceeded},
+		{"cancel", func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(100*time.Millisecond, cancel)
+			return ctx, cancel
+		}, context.Canceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newTestPool(t, []string{ln.Addr().String()}, PoolOptions{ProbeInterval: -1})
+			ctx, cancel := tc.ctx()
+			defer cancel()
+			start := time.Now()
+			err := p.BatchChunk(ctx, req, func(service.BatchLine) {})
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Fatalf("chunk returned after %v, want well under 1s", elapsed)
+			}
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -8,8 +8,7 @@ import (
 )
 
 // Event is one structured cluster state transition: a shard joining or
-// expiring, a circuit opening, a wire downgrade, a job failing, an
-// alert firing. Events are rare and operationally significant — the
+// expiring, a circuit opening, a job failing, an alert firing. Events are rare and operationally significant — the
 // journal is the "what changed?" companion to the flight recorder's
 // "where did the time go?".
 type Event struct {
@@ -19,8 +18,7 @@ type Event struct {
 	Time time.Time `json:"time"`
 	// Type is a stable machine-readable kind: shard_joined, shard_left,
 	// shard_expired, circuit_open, circuit_half_open, circuit_closed,
-	// wire_fallback, wire_redial, job_failed, alert_fired,
-	// alert_resolved.
+	// job_failed, alert_fired, alert_resolved.
 	Type string `json:"type"`
 	Msg  string `json:"msg"`
 	// TraceID links the event to the request that triggered it, when

@@ -12,13 +12,6 @@ import (
 	"time"
 )
 
-// ParentSpanHeader carries the caller's active span ID on
-// coordinator→shard HTTP calls, so a worker's root span parents under
-// the coordinator span that issued the request and the assembled trace
-// is one tree instead of a forest. (The binary wire transport carries
-// the same pair — trace ID plus parent span — in its v2 frame prefix.)
-const ParentSpanHeader = "X-RP-Parent-Span"
-
 // maxSpanAttrs bounds a span's attributes. Attributes set beyond it are
 // dropped — spans are fixed-size values so the flight recorder's ring
 // copies them without allocating.

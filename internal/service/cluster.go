@@ -58,14 +58,11 @@ type ClusterStats struct {
 	// stale-shard expiry (PoolOptions.ExpireAfter missed probes).
 	ShardsExpired uint64 `json:"shards_expired"`
 	// WireConnections counts binary transport connections dialed;
-	// WireRequests the batch chunks and campaign rows shipped over them;
-	// WireRows the row frames relayed back; WireFallbacks the requests
-	// that fell back to JSON/HTTP because a shard doesn't speak the wire
-	// protocol (or the upgrade failed).
+	// WireRequests the solves, batch chunks and campaign rows shipped
+	// over them; WireRows the row frames relayed back.
 	WireConnections uint64 `json:"wire_connections"`
 	WireRequests    uint64 `json:"wire_requests"`
 	WireRows        uint64 `json:"wire_rows"`
-	WireFallbacks   uint64 `json:"wire_fallbacks"`
 }
 
 // ClusterInfo is what the HTTP layer needs from a shard pool to report

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -452,21 +453,33 @@ type solveRequest struct {
 }
 
 func handleSolve(e *Engine, w http.ResponseWriter, r *http.Request, prefix string) {
-	var req solveRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	resp, status, err := e.SolveJSON(r.Context(), http.MaxBytesReader(nil, r.Body, 64<<20), prefix)
+	if err != nil {
+		writeError(w, status, err)
 		return
 	}
+	writeJSON(w, status, resp)
+}
+
+// SolveJSON decodes a /v1/solve body (or, with prefix "lp-", a
+// /v1/bound one), validates it and runs it on the engine. status is the
+// HTTP status of the outcome: 4xx for a request that would fail the
+// same way on any engine (malformed, unknown solver), 5xx for a
+// server-side fault. The cluster wire transport's solve frame carries
+// the same body and maps the same status to fail-over or not.
+func (e *Engine) SolveJSON(ctx context.Context, body io.Reader, prefix string) (resp *Response, status int, err error) {
+	var req solveRequest
+	if err := decodeStrict(body, &req); err != nil {
+		return nil, http.StatusBadRequest, err
+	}
 	if req.Instance == nil {
-		writeError(w, http.StatusBadRequest, errors.New("missing instance"))
-		return
+		return nil, http.StatusBadRequest, errors.New("missing instance")
 	}
 	policy := core.Multiple
 	if req.Policy != "" {
 		p, ok := core.ParsePolicy(req.Policy)
 		if !ok {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("unknown policy %q", req.Policy))
-			return
+			return nil, http.StatusBadRequest, fmt.Errorf("unknown policy %q", req.Policy)
 		}
 		policy = p
 	}
@@ -477,14 +490,12 @@ func handleSolve(e *Engine, w http.ResponseWriter, r *http.Request, prefix strin
 		}
 		solver = prefix + solver
 	} else if solver == "" {
-		writeError(w, http.StatusBadRequest, errors.New("missing solver"))
-		return
+		return nil, http.StatusBadRequest, errors.New("missing solver")
 	}
 	if err := validateObjects(e.Registry(), solver, policy, req.Instance, req.Options.Objects); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, http.StatusBadRequest, err
 	}
-	resp, err := e.Solve(r.Context(), Request{
+	resp, err = e.Solve(ctx, Request{
 		Instance: req.Instance,
 		Solver:   solver,
 		Policy:   policy,
@@ -494,20 +505,19 @@ func handleSolve(e *Engine, w http.ResponseWriter, r *http.Request, prefix strin
 		var unknown *ErrUnknownSolver
 		switch {
 		case errors.As(err, &unknown):
-			writeError(w, http.StatusNotFound, err)
+			return nil, http.StatusNotFound, err
 		case errors.Is(err, context.DeadlineExceeded):
-			writeError(w, http.StatusGatewayTimeout, err)
+			return nil, http.StatusGatewayTimeout, err
 		case errors.Is(err, ErrEngineClosed):
-			writeError(w, http.StatusServiceUnavailable, err)
+			return nil, http.StatusServiceUnavailable, err
 		default:
 			// Instance-shape problems were already rejected at decode time
 			// (UnmarshalJSON fully validates), so what reaches here is a
 			// server-side fault, not a bad request.
-			writeError(w, http.StatusInternalServerError, err)
+			return nil, http.StatusInternalServerError, err
 		}
-		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, http.StatusOK, nil
 }
 
 // BatchTopology is the topology section of a /v1/batch body.
@@ -770,7 +780,11 @@ func (a *api) handleCampaign(w http.ResponseWriter, r *http.Request) {
 }
 
 func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 64<<20))
+	return decodeStrict(http.MaxBytesReader(nil, r.Body, 64<<20), v)
+}
+
+func decodeStrict(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }

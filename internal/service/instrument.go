@@ -19,9 +19,7 @@ import (
 //     is what lets writeError embed it in error bodies;
 //   - when a SpanStore is configured, sampled requests run under a root
 //     "http.request" span (child spans across the engine, router and
-//     wire transport hang off it), and an X-RP-Parent-Span header from
-//     an upstream coordinator splices this process's spans under the
-//     caller's tree;
+//     wire transport hang off it);
 //   - requests slower than HandlerOptions.SlowRequest are logged at warn
 //     with method, path, status and duration, and their traces are
 //     retained in the flight recorder past ring pressure — an unsampled
@@ -41,9 +39,6 @@ func (a *api) instrument(next http.Handler) http.Handler {
 		var root *obs.Span
 		if sampled {
 			ctx = obs.WithSpans(ctx, a.spans)
-			if parent := obs.ParseSpanID(r.Header.Get(obs.ParentSpanHeader)); parent != 0 {
-				ctx = obs.WithParentSpan(ctx, parent)
-			}
 			ctx, root = obs.StartSpan(ctx, "http.request")
 			root.SetAttr("method", r.Method)
 			root.SetAttr("path", r.URL.Path)

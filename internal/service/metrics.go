@@ -248,12 +248,10 @@ func (a *api) renderMetrics(buf *bytes.Buffer) {
 			p.sample("rp_cluster_shards_expired_total", "", float64(cs.ShardsExpired))
 			p.family("rp_cluster_wire_connections_total", "counter", "Binary wire transport connections dialed to shards.")
 			p.sample("rp_cluster_wire_connections_total", "", float64(cs.WireConnections))
-			p.family("rp_cluster_wire_requests_total", "counter", "Batch chunks and campaign rows shipped over the binary wire transport.")
+			p.family("rp_cluster_wire_requests_total", "counter", "Remote solves, batch chunks and campaign rows shipped over the binary wire transport.")
 			p.sample("rp_cluster_wire_requests_total", "", float64(cs.WireRequests))
 			p.family("rp_cluster_wire_rows_total", "counter", "Row frames relayed back over the binary wire transport.")
 			p.sample("rp_cluster_wire_rows_total", "", float64(cs.WireRows))
-			p.family("rp_cluster_wire_fallback_total", "counter", "Shard requests that fell back to JSON/HTTP because the wire transport was unavailable.")
-			p.sample("rp_cluster_wire_fallback_total", "", float64(cs.WireFallbacks))
 		}
 		shards := a.cluster.ShardStats()
 		p.family("rp_cluster_shard_up", "gauge", "1 when the shard's circuit is closed (healthy).")
