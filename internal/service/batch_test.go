@@ -221,6 +221,17 @@ func TestHTTPBatchRejects(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad topology: status %d", resp.StatusCode)
 	}
+	// A body outside the one-pass decoder's subset is still judged, and
+	// its error worded, by encoding/json.
+	resp = postJSON(t, srv.URL+"/v1/batch", map[string]any{"solver": "mb", "variations": []any{map[string]any{}}, "extra": 1})
+	var body struct {
+		Error string `json:"error"`
+	}
+	json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || body.Error != `json: unknown field "extra"` {
+		t.Errorf("unknown field: status %d, error %q", resp.StatusCode, body.Error)
+	}
 }
 
 // TestWaiterSurvivesOwnerDeadline: a cancellation-aware backend surfaces

@@ -453,7 +453,7 @@ type solveRequest struct {
 }
 
 func handleSolve(e *Engine, w http.ResponseWriter, r *http.Request, prefix string) {
-	resp, status, err := e.SolveJSON(r.Context(), http.MaxBytesReader(nil, r.Body, 64<<20), prefix)
+	resp, status, err := e.SolveJSON(r.Context(), http.MaxBytesReader(nil, r.Body, maxBodyBytes), prefix)
 	if err != nil {
 		writeError(w, status, err)
 		return
@@ -575,8 +575,8 @@ type batchDone struct {
 func (a *api) handleBatch(w http.ResponseWriter, r *http.Request) {
 	e := a.e
 	start := time.Now()
-	var req BatchPayload
-	if err := decodeJSON(r, &req); err != nil {
+	req, err := readBatch(r)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -637,7 +637,7 @@ func (a *api) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// standalone path. Mid-stream failures (the client went away,
 		// the request context expired) are reported in-stream like the
 		// campaign endpoint's.
-		if err := router.RouteBatch(r.Context(), e, base, policy, &req, emit); err != nil {
+		if err := router.RouteBatch(r.Context(), e, base, policy, req, emit); err != nil {
 			enc.Encode(map[string]string{"error": err.Error()})
 			return
 		}
@@ -780,7 +780,7 @@ func (a *api) handleCampaign(w http.ResponseWriter, r *http.Request) {
 }
 
 func decodeJSON(r *http.Request, v any) error {
-	return decodeStrict(http.MaxBytesReader(nil, r.Body, 64<<20), v)
+	return decodeStrict(http.MaxBytesReader(nil, r.Body, maxBodyBytes), v)
 }
 
 func decodeStrict(body io.Reader, v any) error {

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -210,10 +209,8 @@ func DecodeBatchPayload(payload json.RawMessage) (*BatchPayload, error) {
 	if len(payload) == 0 {
 		return nil, errors.New("service: batch job without request")
 	}
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
-	var req BatchPayload
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodeBatch(payload)
+	if err != nil {
 		return nil, fmt.Errorf("service: bad batch job payload: %w", err)
 	}
 	if req.Solver == "" {
@@ -222,7 +219,7 @@ func DecodeBatchPayload(payload json.RawMessage) (*BatchPayload, error) {
 	if len(req.Variations) == 0 {
 		return nil, errors.New("service: batch job without variations")
 	}
-	return &req, nil
+	return req, nil
 }
 
 // Build validates the payload against the engine: topology, base
