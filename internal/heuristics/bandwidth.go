@@ -17,32 +17,27 @@ import (
 // traffic it sends across each link is the minimum over all assignments;
 // MGBW therefore decides feasibility of Multiple + bandwidth exactly: it
 // fails only when the pending overflow of some subtree exceeds the link
-// capacity in every solution.
+// capacity in every solution. It is MG's sweep, then a check of every
+// uplink against what the sweep sent across it.
 func MGBW(in *core.Instance) (*core.Solution, error) { return run(in, mgBW) }
 
 func mgBW(st *state) error {
+	if err := st.sweep(true); err != nil || st.in.BW == nil {
+		return err
+	}
 	in, t := st.in, st.in.Tree
-	for _, s := range t.PostOrder() {
-		if t.IsClient(s) {
-			// A client's full demand must cross its own uplink.
-			if in.BW != nil && in.BW[s] != core.NoBandwidth && st.rrem[s] > in.BW[s] {
-				return ErrNoSolution
-			}
-			continue
+	for v, bw := range in.BW {
+		// A client's full demand crosses its uplink, and so does whatever
+		// escapes an internal vertex's subtree.
+		up := in.R[v]
+		if t.IsInternal(v) {
+			up = st.sweeper.escaping(v)
 		}
-		if st.inreq[s] > 0 && in.W[s] > 0 {
-			take := st.inreq[s]
-			if take > in.W[s] {
-				take = in.W[s]
-			}
-			st.deleteMultiple(s, take, false)
-		}
-		if s != t.Root() && in.BW != nil && in.BW[s] != core.NoBandwidth &&
-			st.inreq[s] > in.BW[s] {
+		if v != t.Root() && bw != core.NoBandwidth && up > bw {
 			return ErrNoSolution
 		}
 	}
-	return st.finish()
+	return nil
 }
 
 // UBCFBW is UBCF with bandwidth awareness: a client only considers

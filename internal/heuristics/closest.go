@@ -78,15 +78,4 @@ func ctdlf(st *state) error {
 // subtree; nodes that cannot defer to their ancestors.
 func CBU(in *core.Instance) (*core.Solution, error) { return run(in, cbu) }
 
-func cbu(st *state) error {
-	in, t := st.in, st.in.Tree
-	for _, s := range t.PostOrder() {
-		if t.IsClient(s) {
-			continue
-		}
-		if in.W[s] >= st.inreq[s] && st.inreq[s] > 0 {
-			st.serveAll(s)
-		}
-	}
-	return st.finish()
-}
+func cbu(st *state) error { return st.sweep(false) }

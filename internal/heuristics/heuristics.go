@@ -5,6 +5,13 @@
 // experiments. All heuristics run in worst-case quadratic time in the
 // problem size s = |C| + |N| and return fully validated solutions.
 //
+// MG and CBU, the two subtree-local heuristics, are one bottom-up sweep
+// each and share one implementation: the memoized engine Incremental. A
+// cold MG/CBU is its full sweep; placement sessions (internal/session)
+// keep an engine per session and recompute only the dirty root paths.
+// NewIncremental is the one place that says which heuristics qualify.
+// MGBW runs the same sweep and then checks every link.
+//
 // The mutable working set of a run (pending requests, remaining requests,
 // replica flags, assignment buffers, sort scratch) lives in a pooled state
 // shared across solves, so a steady-state solve allocates only the
@@ -91,6 +98,8 @@ type state struct {
 	seen    []bool  // cost() replica marker
 	capLeft []int64 // remaining server capacity (UBCF-style passes)
 	bwLeft  []int64 // remaining link bandwidth (bandwidth variants)
+
+	sweeper Incremental // the MG/CBU engine, its memos pooled with the state
 }
 
 var statePool = sync.Pool{New: func() any { return new(state) }}
@@ -115,6 +124,7 @@ func newState(in *core.Instance) *state {
 // may be used after this call.
 func (st *state) release() {
 	st.in = nil
+	st.sweeper.in = nil
 	statePool.Put(st)
 }
 

@@ -64,22 +64,7 @@ func multipleTwoPass(st *state, topDown, desc bool) error {
 // solution whenever one exists under the Multiple policy.
 func MG(in *core.Instance) (*core.Solution, error) { return run(in, mg) }
 
-func mg(st *state) error {
-	in, t := st.in, st.in.Tree
-	for _, s := range t.PostOrder() {
-		if t.IsClient(s) {
-			continue
-		}
-		if st.inreq[s] > 0 && in.W[s] > 0 {
-			take := st.inreq[s]
-			if take > in.W[s] {
-				take = in.W[s]
-			}
-			st.deleteMultiple(s, take, false)
-		}
-	}
-	return st.finish()
-}
+func mg(st *state) error { return st.sweep(true) }
 
 // MB is MixedBest: run all eight heuristics and keep the cheapest valid
 // solution. Because any Closest or Upwards solution is also a Multiple

@@ -17,9 +17,10 @@ import (
 
 // SessionResolver adapts the solver registry for placement sessions: it
 // resolves names the same way /v1/solve does (family fallback included)
-// and rejects backends that cannot hold a session. The subtree-local
-// heuristics MG and CBU get their memoized incremental engines; every
-// other solution backend re-solves cold on each delta.
+// and rejects backends that cannot hold a session. The session package
+// gives the subtree-local heuristics MG and CBU their memoized engine
+// (heuristics.NewIncremental); every other solution backend re-solves
+// cold on each delta.
 func SessionResolver(reg *Registry) session.ResolveFunc {
 	return func(name string, policy core.Policy) (session.Solver, error) {
 		s, ok := reg.Resolve(name, policy)
@@ -32,18 +33,10 @@ func SessionResolver(reg *Registry) session.ResolveFunc {
 		if s.Kind == "multiobject" {
 			return session.Solver{}, fmt.Errorf("solver %q is multi-object; sessions hold single-object instances", s.Name)
 		}
-		kind := session.IncrementalNone
-		switch s.Name {
-		case "mg":
-			kind = session.IncrementalMG
-		case "cbu":
-			kind = session.IncrementalCBU
-		}
 		run := s.Run
 		return session.Solver{
-			Name:        s.Name,
-			Policy:      s.Policy,
-			Incremental: kind,
+			Name:   s.Name,
+			Policy: s.Policy,
 			Solve: func(ctx context.Context, in *core.Instance) (*core.Solution, bool, error) {
 				res, err := run(ctx, in, Options{})
 				if err != nil {

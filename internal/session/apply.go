@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/heuristics"
 	"repro/internal/tree"
 )
 
@@ -86,8 +87,8 @@ type Session struct {
 	nReported  int
 
 	dirty *tree.DirtySet
-	inc   *bottomUp      // nil for solvers without a memoized engine
-	sol   *core.Solution // fallback solvers: last cold solution
+	inc   *heuristics.Incremental // nil for solvers without a memoized engine
+	sol   *core.Solution          // fallback solvers: last cold solution
 
 	diffs    []Diff // ring: diffs for revisions [firstRev, rev]
 	diffHead int
@@ -148,31 +149,24 @@ func (s *Session) initialSolve(ctx context.Context) error {
 	}
 	s.rev = 1
 	s.firstRev = 1
-	s.applyOutcome(out)
-	d := Diff{Rev: 1, Add: s.replicasLocked(), Cost: s.cost, NoSolution: s.noSolution}
-	s.pushDiff(d)
+	add, _ := s.install(out)
+	s.pushDiff(Diff{Rev: 1, Add: add, Cost: s.cost, NoSolution: s.noSolution})
 	return nil
 }
 
 // outcome is one solve's result in session terms.
 type outcome struct {
 	noSolution bool
-	cost       int64
-	replicas   []int          // nil for incremental outcomes (flips carry the change)
-	sol        *core.Solution // fallback solvers only
+	cost       int64          // 0 when noSolution
+	sol        *core.Solution // backend solves only; the engine holds its own
 }
 
 // solveFull runs a cold full solve: the memoized engine's full sweep for
 // incremental solvers, the backend otherwise.
 func (s *Session) solveFull(ctx context.Context) (outcome, error) {
 	if s.inc != nil {
-		s.inc.full(s.in)
-		out := outcome{noSolution: s.inc.noSolution()}
-		if !out.noSolution {
-			out.cost = s.inc.cost
-			out.replicas = s.inc.replicas()
-		}
-		return out, nil
+		s.inc.Full(s.in)
+		return s.engineOutcome(), nil
 	}
 	ctx, cancel := context.WithTimeout(ctx, s.m.opts.SolveTimeout)
 	defer cancel()
@@ -194,29 +188,33 @@ func (s *Session) solveFull(ctx context.Context) (outcome, error) {
 			return outcome{}, fmt.Errorf("%w: solver %s produced an invalid solution: %w", ErrSolverFault, s.solver.Name, verr)
 		}
 		out.cost = sol.StorageCost(s.in)
-		out.replicas = sol.Replicas()
 	}
 	return out, nil
 }
 
-// applyOutcome installs a full solve's outcome: reported flags, cost and
-// the fallback solution snapshot. Caller holds the lock (or owns the
-// session exclusively, as initialSolve does).
-func (s *Session) applyOutcome(out outcome) {
-	s.noSolution = out.noSolution
-	s.cost = out.cost
-	s.sol = out.sol
-	for v := range s.reported {
-		s.reported[v] = false
+// engineOutcome reports the incremental engine's current result.
+func (s *Session) engineOutcome() outcome {
+	if s.inc.NoSolution() {
+		return outcome{noSolution: true}
 	}
-	s.nReported = 0
-	for _, v := range out.replicas {
-		s.reported[v] = true
-	}
-	s.nReported = len(out.replicas)
-	if out.noSolution {
-		s.cost = 0
-	}
+	return outcome{cost: s.inc.Cost()}
+}
+
+// install makes out the current placement and returns the replicas it
+// added and dropped, reconciling every reported flag in one scan. Caller
+// holds the lock (or owns the session exclusively, as initialSolve does).
+func (s *Session) install(out outcome) (add, drop []int) {
+	add, drop = s.reconcile(func(v int) bool {
+		switch {
+		case out.noSolution:
+			return false
+		case s.inc != nil:
+			return s.inc.IsReplica(v)
+		}
+		return out.sol.IsReplica(v)
+	})
+	s.noSolution, s.cost, s.sol = out.noSolution, out.cost, out.sol
+	return add, drop
 }
 
 // Apply validates and applies a delta batch atomically: all ops or none,
@@ -252,26 +250,14 @@ func (s *Session) Apply(ctx context.Context, ops []Op) (*ApplyResult, error) {
 
 	mode := "full"
 	var out outcome
-	var flips []int
-	switch {
-	case s.inc != nil && !topo && s.dirty.InternalFraction() <= s.m.opts.DirtyThreshold:
+	if s.inc != nil && !topo && s.dirty.InternalFraction() <= s.m.opts.DirtyThreshold {
 		mode = "incremental"
-		s.inc.update(s.dirtyInternalDeepFirst())
-		flips = s.inc.flips
-		out = outcome{noSolution: s.inc.noSolution(), cost: s.inc.cost}
-		if out.noSolution {
-			out.cost = 0
-		}
-	case s.inc != nil:
-		// Too much of the tree is dirty (or it changed shape): one cold
-		// sweep rebuilds every memo cheaper than chasing root paths.
-		s.inc.full(s.in)
-		out = outcome{noSolution: s.inc.noSolution()}
-		if !out.noSolution {
-			out.cost = s.inc.cost
-			out.replicas = s.inc.replicas()
-		}
-	default:
+		s.inc.Update(s.dirtyInternalDeepFirst())
+		out = s.engineOutcome()
+	} else {
+		// For the engine, too much of the tree is dirty (or it changed
+		// shape): one full sweep rebuilds every memo cheaper than chasing
+		// root paths.
 		out, err = s.solveFull(ctx)
 		if err != nil {
 			// Roll back: scalar ops are undone in place, topology ops
@@ -289,12 +275,11 @@ func (s *Session) Apply(ctx context.Context, ops []Op) (*ApplyResult, error) {
 
 	s.rev++
 	d := Diff{Rev: s.rev, Cost: out.cost, NoSolution: out.noSolution}
-	prevNoSol := s.noSolution
-	if mode == "incremental" && !prevNoSol && !out.noSolution {
+	if mode == "incremental" && !s.noSolution && !out.noSolution {
 		// Both revisions feasible: the engine's flips are exactly the
 		// replica churn; reported flags track them in O(dirty).
-		for _, v := range flips {
-			if s.inc.isRepl[v] {
+		for _, v := range s.inc.Flips() {
+			if s.inc.IsReplica(v) {
 				d.Add = append(d.Add, v)
 				s.reported[v] = true
 				s.nReported++
@@ -304,19 +289,10 @@ func (s *Session) Apply(ctx context.Context, ops []Op) (*ApplyResult, error) {
 				s.nReported--
 			}
 		}
-		s.noSolution = out.noSolution
 		s.cost = out.cost
-		s.sol = nil
-	} else if mode == "incremental" {
-		// A feasibility transition: reconcile reported flags against the
-		// engine's in one scan.
-		d.Add, d.Drop = s.reconcile(func(v int) bool { return !out.noSolution && s.inc.isRepl[v] })
-		s.noSolution = out.noSolution
-		s.cost = out.cost
-		s.sol = nil
 	} else {
-		d.Add, d.Drop = s.reconcileList(out.replicas)
-		s.applyOutcome(out)
+		// A full solve or a feasibility transition.
+		d.Add, d.Drop = s.install(out)
 	}
 	sort.Ints(d.Add)
 	sort.Ints(d.Drop)
@@ -634,25 +610,6 @@ func (s *Session) reconcile(now func(v int) bool) (add, drop []int) {
 			s.nReported--
 		}
 		s.reported[v] = cur
-	}
-	return add, drop
-}
-
-// reconcileList is reconcile against a sorted replica list (nil for an
-// infeasible outcome). It does not update the flags — applyOutcome
-// rewrites them wholesale right after.
-func (s *Session) reconcileList(replicas []int) (add, drop []int) {
-	in := make(map[int]bool, len(replicas))
-	for _, v := range replicas {
-		in[v] = true
-		if !s.reported[v] {
-			add = append(add, v)
-		}
-	}
-	for _, v := range s.in.Tree.Internal() {
-		if v < len(s.reported) && s.reported[v] && !in[v] {
-			drop = append(drop, v)
-		}
 	}
 	return add, drop
 }

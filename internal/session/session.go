@@ -5,9 +5,11 @@
 // root path (see tree.DirtySet); the subtree-local heuristics (MG, CBU)
 // then recompute just the dirty vertices over memoized clean-subtree
 // summaries, warm-starting from the previous placement, and fall back to a
-// cold full solve when the dirty fraction crosses a threshold or the
-// topology changes. Every applied delta yields a placement byte-equivalent
-// to a cold re-solve of the mutated instance.
+// full sweep when the dirty fraction crosses a threshold or the topology
+// changes. The memoized engine is heuristics.Incremental, the same code a
+// cold MG/CBU runs; heuristics.NewIncremental decides which solvers get
+// one. Every applied delta yields a placement byte-equivalent to a cold
+// re-solve of the mutated instance.
 //
 // Watchers stream placement diffs ({rev, add, drop, cost}) from a bounded
 // per-session history ring, resumable from any revision still retained.
@@ -25,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/heuristics"
 	"repro/internal/obs"
 	"repro/internal/tree"
 )
@@ -56,13 +59,13 @@ type SolveFunc func(ctx context.Context, in *core.Instance) (sol *core.Solution,
 
 // Solver is the session-facing view of a placement backend.
 type Solver struct {
-	// Name is the registry name ("mg", "cbu", "utd", ...).
+	// Name is the registry name ("mg", "cbu", "utd", ...). A name that
+	// heuristics.NewIncremental knows ("mg", "cbu") must resolve to that
+	// heuristic: its session recomputes with the memoized engine and
+	// never calls Solve.
 	Name string
 	// Policy is the access policy of produced placements.
 	Policy core.Policy
-	// Incremental selects the memoized engine equivalent to Solve, or
-	// IncrementalNone to re-solve cold on every delta.
-	Incremental IncrementalKind
 	// Solve is the cold full solve.
 	Solve SolveFunc
 }
@@ -286,9 +289,7 @@ func (m *Manager) Create(ctx context.Context, in *core.Instance, solverName stri
 	s.lastUsed = s.created
 	s.dirty = tree.NewDirtySet(s.in.Tree)
 	s.reported = make([]bool, in.Tree.Len())
-	if solver.Incremental != IncrementalNone {
-		s.inc = newBottomUp(solver.Incremental)
-	}
+	s.inc = heuristics.NewIncremental(solver.Name)
 	if err := s.initialSolve(ctx); err != nil {
 		m.mu.Lock()
 		m.pending--

@@ -17,24 +17,15 @@ import (
 	"repro/internal/heuristics"
 )
 
-// testResolver adapts the heuristics registry for sessions, declaring the
-// two subtree-local heuristics incremental.
+// testResolver adapts the heuristics registry for sessions.
 func testResolver(name string, p core.Policy) (Solver, error) {
 	h, ok := heuristics.ByName(strings.ToUpper(name))
 	if !ok {
 		return Solver{}, fmt.Errorf("unknown solver %q", name)
 	}
-	kind := IncrementalNone
-	switch strings.ToLower(name) {
-	case "mg":
-		kind = IncrementalMG
-	case "cbu":
-		kind = IncrementalCBU
-	}
 	return Solver{
-		Name:        strings.ToLower(name),
-		Policy:      h.Policy,
-		Incremental: kind,
+		Name:   strings.ToLower(name),
+		Policy: h.Policy,
 		Solve: func(_ context.Context, in *core.Instance) (*core.Solution, bool, error) {
 			sol, err := h.Run(in)
 			if errors.Is(err, heuristics.ErrNoSolution) {
@@ -74,8 +65,9 @@ func coldSolve(t *testing.T, name string, in *core.Instance) (*core.Solution, bo
 
 // checkEquivalence pins the acceptance criterion: the session's current
 // placement must be byte-identical (assignment portions, replica set,
-// cost) to a cold full re-solve of the mutated instance.
-func checkEquivalence(t *testing.T, s *Session, name string, step int) {
+// cost) to a cold full re-solve of the mutated instance. It reports
+// whether that placement exists.
+func checkEquivalence(t *testing.T, s *Session, name string, step int) (feasible bool) {
 	t.Helper()
 	mutated := s.InstanceCopy()
 	wantSol, wantNoSol := coldSolve(t, name, mutated)
@@ -87,7 +79,7 @@ func checkEquivalence(t *testing.T, s *Session, name string, step int) {
 		if got := s.Replicas(); len(got) != 0 {
 			t.Fatalf("step %d: infeasible session still reports replicas %v", step, got)
 		}
-		return
+		return false
 	}
 	if want := wantSol.StorageCost(mutated); st.Cost != want {
 		t.Fatalf("step %d: session cost %d, cold cost %d", step, st.Cost, want)
@@ -103,6 +95,7 @@ func checkEquivalence(t *testing.T, s *Session, name string, step int) {
 		t.Fatalf("step %d: session assignment differs from cold re-solve\nsession: %v\ncold:    %v",
 			step, gotSol, wantSol)
 	}
+	return true
 }
 
 // randomOps builds a delta batch against the session's current tree,
@@ -158,28 +151,55 @@ func TestSessionEquivalence(t *testing.T) {
 	for _, name := range solvers {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			for seed := int64(1); seed <= 4; seed++ {
-				m := newTestManager(t, Options{})
-				in := gen.Instance(gen.Config{
-					Internal: 40, Clients: 120, Lambda: 0.5, Heterogeneous: true,
-				}, seed)
-				s, err := m.Create(context.Background(), in, name, core.Multiple)
-				if err != nil {
-					t.Fatalf("seed %d: create: %v", seed, err)
-				}
-				checkEquivalence(t, s, name, 0)
-				rng := rand.New(rand.NewSource(seed * 7919))
-				removed := map[int]bool{}
-				for step := 1; step <= 40; step++ {
-					ops := randomOps(rng, s, removed)
-					if _, err := s.Apply(context.Background(), ops); err != nil {
-						t.Fatalf("seed %d step %d: apply %+v: %v", seed, step, ops, err)
-					}
-					checkEquivalence(t, s, name, step)
-				}
+			equivalenceWalk(t, name, gen.Config{
+				Internal: 40, Clients: 120, Lambda: 0.5, Heterogeneous: true,
+			})
+		})
+	}
+}
+
+// TestSessionEquivalenceLowLoad repeats the walk at a load where cbu and
+// utd, which find no placement on the walk above, mostly find one, so
+// their replica sets, diffs and feasibility transitions are checked too.
+func TestSessionEquivalenceLowLoad(t *testing.T) {
+	for _, name := range []string{"mg", "cbu", "utd"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			cfg := gen.Config{Internal: 40, Clients: 80, Lambda: 0.1}
+			if feasible := equivalenceWalk(t, name, cfg); feasible < 80 {
+				t.Fatalf("only %d of 164 checked states had a placement", feasible)
 			}
 		})
 	}
+}
+
+// equivalenceWalk applies 40 random delta batches to one session per seed
+// 1..4, checking equivalence with a cold re-solve after creation and after
+// every batch. It returns how many of the checked states had a placement.
+func equivalenceWalk(t *testing.T, name string, cfg gen.Config) (feasible int) {
+	t.Helper()
+	for seed := int64(1); seed <= 4; seed++ {
+		m := newTestManager(t, Options{})
+		s, err := m.Create(context.Background(), gen.Instance(cfg, seed), name, core.Multiple)
+		if err != nil {
+			t.Fatalf("seed %d: create: %v", seed, err)
+		}
+		if checkEquivalence(t, s, name, 0) {
+			feasible++
+		}
+		rng := rand.New(rand.NewSource(seed * 7919))
+		removed := map[int]bool{}
+		for step := 1; step <= 40; step++ {
+			ops := randomOps(rng, s, removed)
+			if _, err := s.Apply(context.Background(), ops); err != nil {
+				t.Fatalf("seed %d step %d: apply %+v: %v", seed, step, ops, err)
+			}
+			if checkEquivalence(t, s, name, step) {
+				feasible++
+			}
+		}
+	}
+	return feasible
 }
 
 // TestSessionIncrementalModeUsed pins that small deltas on an mg session

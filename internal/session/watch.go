@@ -62,7 +62,7 @@ func (s *Session) Solution() (*core.Solution, bool) {
 		return nil, false
 	}
 	if s.inc != nil {
-		return s.inc.materialize(), true
+		return s.inc.Solution(), true
 	}
 	return s.sol, s.sol != nil
 }
