@@ -1,5 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (see DESIGN.md for the experiment index):
+// evaluation; the experiment index is this list:
 //
 //	Table 1    -> BenchmarkTable1_*          (complexity: polynomial vs exponential)
 //	Figures 1-5 -> BenchmarkFig0*_*          (Section 3 gap instances)
@@ -302,7 +302,7 @@ func BenchmarkLPBound_Refined(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md) ---
+// --- Ablations (each benchmark's doc comment states what it isolates) ---
 
 // BenchmarkAblation_DeleteOrder contrasts MTD (largest-client-first
 // deletion) with MBU (smallest-first): success over a batch is reported

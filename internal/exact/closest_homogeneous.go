@@ -20,7 +20,8 @@ import (
 // internal child carrying the heaviest uncovered flow to a replica,
 // repeating until the node's inflow fits. Only internal children can be
 // promoted — a region must contain a server — so an instance whose client
-// children alone overflow a node is infeasible.
+// children alone overflow a node is infeasible. This is the greedy of
+// ClosestHomogeneousQoS with no QoS bound to force a placement.
 //
 // Optimality is cross-checked against the brute-force solver in the tests.
 func ClosestHomogeneous(in *core.Instance) (*core.Solution, error) {
@@ -30,49 +31,11 @@ func ClosestHomogeneous(in *core.Instance) (*core.Solution, error) {
 	if in.HasQoS() || in.HasBandwidth() {
 		return nil, errors.New("exact: ClosestHomogeneous does not support QoS or bandwidth constraints")
 	}
-	t := in.Tree
-	w := in.W[t.Internal()[0]]
-	if in.TotalRequests() == 0 {
-		return core.NewSolution(t.Len()), nil
-	}
-	if w <= 0 {
-		return nil, ErrNoSolution
-	}
-
-	flow := make([]int64, t.Len()) // uncovered flow leaving each vertex
-	repl := make([]bool, t.Len())
-	for _, v := range t.PostOrder() {
-		if t.IsClient(v) {
-			flow[v] = in.R[v]
-			continue
-		}
-		var f int64
-		for _, c := range t.Children(v) {
-			f += flow[c]
-		}
-		for f > w {
-			// Promote the internal child with the heaviest uncovered flow.
-			best := -1
-			for _, c := range t.Children(v) {
-				if t.IsInternal(c) && !repl[c] && flow[c] > 0 &&
-					(best < 0 || flow[c] > flow[best]) {
-					best = c
-				}
-			}
-			if best < 0 {
-				return nil, ErrNoSolution // client children alone overflow v
-			}
-			repl[best] = true
-			f -= flow[best]
-			flow[best] = 0
-		}
-		flow[v] = f
-	}
-	root := t.Root()
-	if flow[root] > 0 {
-		repl[root] = true
-	}
-	return assignClosest(in, repl)
+	// Link weights only enter slacks, infinite here; dropping them keeps a
+	// weighted path from exhausting the greedy's finite stand-in for ∞.
+	plain := *in
+	plain.Comm = nil
+	return closestPartition(&plain)
 }
 
 // assignClosest builds the (unique) Closest assignment induced by a replica

@@ -28,6 +28,12 @@ func ClosestHomogeneousQoS(in *core.Instance) (*core.Solution, error) {
 	if in.HasBandwidth() {
 		return nil, errors.New("exact: ClosestHomogeneousQoS does not support bandwidth constraints")
 	}
+	return closestPartition(in)
+}
+
+// closestPartition is the greedy of ClosestHomogeneousQoS, shared with
+// ClosestHomogeneous, on an instance that has passed their checks.
+func closestPartition(in *core.Instance) (*core.Solution, error) {
 	t := in.Tree
 	w := in.W[t.Internal()[0]]
 	if in.TotalRequests() == 0 {
@@ -43,13 +49,22 @@ func ClosestHomogeneousQoS(in *core.Instance) (*core.Solution, error) {
 	// q_i − dist(i, v); +inf when nothing is pending.
 	const inf = int64(1) << 50
 	minSlack := make([]int64, t.Len())
+	// childSlack is the least slack of the clients v's children still
+	// send up, once it has crossed their links to v.
+	childSlack := func(v int) int64 {
+		slack := inf
+		for _, c := range t.Children(v) {
+			if flow[c] > 0 && minSlack[c]-linkCost(in, c) < slack {
+				slack = minSlack[c] - linkCost(in, c)
+			}
+		}
+		return slack
+	}
 
 	for _, v := range t.PostOrder() {
 		if t.IsClient(v) {
 			flow[v] = in.R[v]
-			if in.R[v] == 0 {
-				minSlack[v] = inf
-			} else if in.Q == nil || in.Q[v] == core.NoQoS {
+			if in.R[v] == 0 || in.Q == nil || in.Q[v] == core.NoQoS {
 				minSlack[v] = inf
 			} else {
 				minSlack[v] = int64(in.Q[v])
@@ -57,16 +72,10 @@ func ClosestHomogeneousQoS(in *core.Instance) (*core.Solution, error) {
 			continue
 		}
 		var f int64
-		slack := inf
 		for _, c := range t.Children(v) {
 			f += flow[c]
-			// Crossing the link c -> v costs one hop of slack (weighted
-			// links would subtract Comm, handled by core.Instance.Dist;
-			// the greedy supports the paper's hop-distance QoS).
-			if flow[c] > 0 && minSlack[c]-linkCost(in, c) < slack {
-				slack = minSlack[c] - linkCost(in, c)
-			}
 		}
+		slack := childSlack(v)
 		if slack < 0 {
 			// Some pending client cannot even be served at v.
 			return nil, ErrNoSolution
@@ -87,13 +96,7 @@ func ClosestHomogeneousQoS(in *core.Instance) (*core.Solution, error) {
 			repl[best] = true
 			f -= flow[best]
 			flow[best] = 0
-			// Recompute the slack without best's clients.
-			slack = inf
-			for _, c := range t.Children(v) {
-				if flow[c] > 0 && minSlack[c]-linkCost(in, c) < slack {
-					slack = minSlack[c] - linkCost(in, c)
-				}
-			}
+			slack = childSlack(v) // without best's clients
 		}
 		// Forced placement: if crossing the link to the parent would
 		// strand a client, serve everything here (the root is handled

@@ -48,8 +48,11 @@ var ordinal = func() map[string]int {
 }()
 
 // Config parameterizes a campaign. The zero value reproduces a scaled-down
-// version of the paper's plan (its trees went up to s = 400 with GLPK; the
-// pure-Go bound solver favours smaller defaults — see DESIGN.md).
+// version of the paper's plan. Its trees went up to s = 400 with GLPK;
+// here the default stops at s = 120 because the refined LP bound
+// (lpbound.Refined, BoundNodes branch-and-bound nodes per tree, each a
+// dense simplex re-solved from scratch) dominates a campaign's time and
+// grows steeply with s.
 type Config struct {
 	// Heterogeneous selects the Figure 11/12 variant.
 	Heterogeneous bool

@@ -2,7 +2,6 @@ package heuristics
 
 import (
 	"repro/internal/core"
-	"repro/internal/tree"
 )
 
 // This file implements bandwidth-aware variants of one heuristic per
@@ -42,64 +41,27 @@ func mgBW(st *state) error {
 
 // UBCFBW is UBCF with bandwidth awareness: a client only considers
 // ancestors reachable without exhausting any link's residual bandwidth,
-// and reserves that bandwidth when assigned.
-func UBCFBW(in *core.Instance) (*core.Solution, error) { return run(in, ubcfBW) }
+// and reserves that bandwidth when assigned. It also honours QoS: an
+// ancestor beyond the client's QoS bound is not eligible, as in UBCFQoS.
+func UBCFBW(in *core.Instance) (*core.Solution, error) {
+	return run(in, func(st *state) error { return bigClientFirst(st, true, true) })
+}
 
-func ubcfBW(st *state) error {
-	in, t := st.in, st.in.Tree
-	copy(st.capLeft, in.W)
-	hasBW := in.BW != nil
-	if hasBW {
-		copy(st.bwLeft, in.BW)
+// residual returns the bandwidth still free on the link v -> parent(v),
+// 1<<60 when the link is uncapped.
+func (st *state) residual(v int) int64 {
+	if st.in.BW == nil || st.bwLeft[v] == core.NoBandwidth {
+		return 1 << 60
 	}
-	residual := func(v int) int64 {
-		if !hasBW || st.bwLeft[v] == core.NoBandwidth {
-			return 1 << 60
-		}
-		return st.bwLeft[v]
-	}
-
-	order := st.order[:0]
-	for _, c := range t.Clients() {
-		if in.R[c] > 0 {
-			order = append(order, c)
-		}
-	}
-	sortByKey(order, in.R, true, st.tmp)
-	for _, c := range order {
-		r := in.R[c]
-		best := -1
-		pathOK := residual(c) >= r // the client's own uplink
-		for a := t.Parent(c); a != tree.None; a = t.Parent(a) {
-			if !pathOK {
-				break
-			}
-			if st.capLeft[a] >= r && in.QoSAllows(c, a) &&
-				(best < 0 || st.capLeft[a] < st.capLeft[best]) {
-				best = a
-			}
-			pathOK = residual(a) >= r // link a -> parent(a), for the next hop
-		}
-		if best < 0 {
-			return ErrNoSolution
-		}
-		st.capLeft[best] -= r
-		if hasBW {
-			for u := c; u != best; u = t.Parent(u) {
-				if st.bwLeft[u] != core.NoBandwidth {
-					st.bwLeft[u] -= r
-				}
-			}
-		}
-		st.assign(c, best, r)
-	}
-	return nil
+	return st.bwLeft[v]
 }
 
 // CTDABW is CTDA with bandwidth awareness: a node may absorb its subtree
 // only if every pending client's demand fits through the links between
 // the client and the node.
-func CTDABW(in *core.Instance) (*core.Solution, error) { return run(in, ctdaBW) }
+func CTDABW(in *core.Instance) (*core.Solution, error) {
+	return run(in, func(st *state) error { return topDown(st, false, true, false) })
+}
 
 // bwFits reports whether node s can absorb its whole pending subtree
 // without overflowing a link. Under Closest, the flow on a link
@@ -124,34 +86,6 @@ func (st *state) bwFits(s int) bool {
 		}
 	}
 	return true
-}
-
-func ctdaBW(st *state) error {
-	in, t := st.in, st.in.Tree
-	for {
-		added := false
-		queue := append(st.queue[:0], t.Root())
-		for head := 0; head < len(queue); head++ {
-			s := queue[head]
-			if st.repl[s] {
-				continue
-			}
-			if in.W[s] >= st.inreq[s] && st.inreq[s] > 0 && st.bwFits(s) {
-				st.serveAll(s)
-				added = true
-				continue
-			}
-			for _, c := range t.Children(s) {
-				if t.IsInternal(c) {
-					queue = append(queue, c)
-				}
-			}
-		}
-		if !added {
-			break
-		}
-	}
-	return st.finish()
 }
 
 // AllBW lists the bandwidth-aware variants in registry form.

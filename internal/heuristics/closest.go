@@ -10,50 +10,31 @@ import (
 // explored further. Traversals repeat until one adds no replica.
 func CTDA(in *core.Instance) (*core.Solution, error) { return run(in, ctda) }
 
-func ctda(st *state) error {
-	in, t := st.in, st.in.Tree
-	for {
-		added := false
-		queue := append(st.queue[:0], t.Root())
-		for head := 0; head < len(queue); head++ {
-			s := queue[head]
-			if st.repl[s] {
-				continue
-			}
-			if in.W[s] >= st.inreq[s] && st.inreq[s] > 0 {
-				st.serveAll(s)
-				added = true
-				continue
-			}
-			for _, c := range t.Children(s) {
-				if t.IsInternal(c) {
-					queue = append(queue, c)
-				}
-			}
-		}
-		if !added {
-			break
-		}
-	}
-	return st.finish()
-}
+func ctda(st *state) error { return topDown(st, false, false, false) }
 
 // CTDLF is ClosestTopDownLargestFirst: the breadth-first traversal treats
 // the child subtree with the most pending requests first, and stops as
 // soon as one replica has been placed; it is re-run once per replica.
 func CTDLF(in *core.Instance) (*core.Solution, error) { return run(in, ctdlf) }
 
-func ctdlf(st *state) error {
+func ctdlf(st *state) error { return topDown(st, false, false, true) }
+
+// topDown is the Closest top-down body: CTDA's traversals, in which a node
+// absorbs its pending subtree only if qosCovers (when qos) and bwFits
+// (when bw) also admit it. largestFirst is CTDLF: children queue largest
+// first, and each traversal stops at its first placement.
+func topDown(st *state, qos, bw, largestFirst bool) error {
 	in, t := st.in, st.in.Tree
 	for {
 		added := false
 		queue := append(st.queue[:0], t.Root())
-		for head := 0; head < len(queue) && !added; head++ {
+		for head := 0; head < len(queue) && !(largestFirst && added); head++ {
 			s := queue[head]
 			if st.repl[s] {
 				continue
 			}
-			if in.W[s] >= st.inreq[s] && st.inreq[s] > 0 {
+			if in.W[s] >= st.inreq[s] && st.inreq[s] > 0 &&
+				(!qos || st.qosCovers(s)) && (!bw || st.bwFits(s)) {
 				st.serveAll(s)
 				added = true
 				continue
@@ -64,7 +45,9 @@ func ctdlf(st *state) error {
 					queue = append(queue, c)
 				}
 			}
-			sortByKey(queue[k:], st.inreq, true, st.tmp)
+			if largestFirst {
+				sortByKey(queue[k:], st.inreq, true, st.tmp)
+			}
 		}
 		if !added {
 			break

@@ -12,6 +12,10 @@
 // NewIncremental is the one place that says which heuristics qualify.
 // MGBW runs the same sweep and then checks every link.
 //
+// The Closest top-down heuristics (CTDA, CTDLF, CTDA-QoS, CTDA-BW) are one
+// body, topDown, and the UBCF ones (UBCF, UBCF-QoS, UBCF-BW) another,
+// bigClientFirst; each takes the constraints it honours as arguments.
+//
 // The mutable working set of a run (pending requests, remaining requests,
 // replica flags, assignment buffers, sort scratch) lives in a pooled state
 // shared across solves, so a steady-state solve allocates only the
@@ -323,43 +327,24 @@ func sortByKey(ids []int, key []int64, desc bool, tmp []int) {
 	}
 }
 
-// sortedByRemaining returns pending clients under s ordered by remaining
-// requests (descending if desc, else ascending), ties broken by subtree
-// preorder. Same buffer contract as pendingClients.
-func (st *state) sortedByRemaining(s int, desc bool) []int {
+// deleteRequests is the paper's deleteRequests: it serves pending clients
+// under s at s in remaining-request order (non-increasing when desc, ties
+// in subtree preorder), whole clients while they fit in budget. The
+// Upwards version (Algorithm 6, split false) skips a client that does not
+// fit; the Multiple one (Algorithm 10, with the obvious typo fixed: the
+// partial deletion subtracts the deleted amount, not the client's
+// residue) serves part of it and stops.
+func (st *state) deleteRequests(s int, budget int64, desc, split bool) {
 	cs := st.pendingClients(s)
 	sortByKey(cs, st.rrem, desc, st.tmp)
-	return cs
-}
-
-// deleteSingle implements the Upwards deleteRequests (Algorithm 6): remove
-// whole clients in non-increasing request order while they fit in budget.
-func (st *state) deleteSingle(s int, budget int64) {
-	for _, c := range st.sortedByRemaining(s, true) {
+	for _, c := range cs {
 		if st.rrem[c] <= budget {
 			budget -= st.rrem[c]
 			st.assign(c, s, st.rrem[c])
 			if budget == 0 {
 				return
 			}
-		}
-	}
-}
-
-// deleteMultiple implements the Multiple delete (Algorithm 10, with the
-// obvious typo fixed: the partial deletion subtracts the deleted amount,
-// not the client's residue): whole clients while they fit, then one
-// partial from the next client in order. desc selects the MTD ordering
-// (non-increasing); MBU uses non-decreasing.
-func (st *state) deleteMultiple(s int, budget int64, desc bool) {
-	for _, c := range st.sortedByRemaining(s, desc) {
-		if st.rrem[c] <= budget {
-			budget -= st.rrem[c]
-			st.assign(c, s, st.rrem[c])
-			if budget == 0 {
-				return
-			}
-		} else {
+		} else if split {
 			st.assign(c, s, budget)
 			return
 		}

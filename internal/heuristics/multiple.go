@@ -19,15 +19,15 @@ func MBU(in *core.Instance) (*core.Solution, error) { return run(in, mbu) }
 
 func mbu(st *state) error { return multipleTwoPass(st, false, false) }
 
-// multipleTwoPass factors MTD and MBU: topDown selects the first-pass
+// multipleTwoPass factors MTD and MBU: preorder selects the first-pass
 // orientation and desc the delete order (non-increasing for MTD,
 // non-decreasing for MBU).
-func multipleTwoPass(st *state, topDown, desc bool) error {
+func multipleTwoPass(st *state, preorder, desc bool) error {
 	in, t := st.in, st.in.Tree
 
 	// First pass: saturate exhausted nodes.
 	order := t.PreOrder()
-	if !topDown {
+	if !preorder {
 		order = t.PostOrder()
 	}
 	for _, s := range order {
@@ -36,7 +36,7 @@ func multipleTwoPass(st *state, topDown, desc bool) error {
 		}
 		if st.inreq[s] >= in.W[s] && st.inreq[s] > 0 && in.W[s] > 0 {
 			st.repl[s] = true
-			st.deleteMultiple(s, in.W[s], desc)
+			st.deleteRequests(s, in.W[s], desc, true)
 		}
 	}
 
@@ -51,7 +51,7 @@ func multipleTwoPass(st *state, topDown, desc bool) error {
 				continue
 			}
 			st.repl[s] = true
-			st.deleteMultiple(s, st.inreq[s], desc)
+			st.deleteRequests(s, st.inreq[s], desc, true)
 		}
 	}
 	return st.finish()

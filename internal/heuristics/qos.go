@@ -2,7 +2,6 @@ package heuristics
 
 import (
 	"repro/internal/core"
-	"repro/internal/tree"
 )
 
 // This file implements QoS-aware variants of three representative
@@ -10,39 +9,14 @@ import (
 // heuristics to future work (Section 10); these variants follow the
 // natural design: a server is only eligible for a client within its QoS
 // distance, and the Multiple greedy serves requests closest to expiry
-// first. Instances without QoS degrade to behaviour close to the base
-// heuristics.
+// first. On instances without QoS bounds, CTDA-QoS and UBCF-QoS answer
+// exactly as CTDA and UBCF; MG-QoS, which orders clients by slack, does
+// not always answer as MG.
 
 // CTDAQoS is CTDA with QoS awareness: a node absorbs its subtree only if
 // every pending client in it is within QoS range.
-func CTDAQoS(in *core.Instance) (*core.Solution, error) { return run(in, ctdaQoS) }
-
-func ctdaQoS(st *state) error {
-	in, t := st.in, st.in.Tree
-	for {
-		added := false
-		queue := append(st.queue[:0], t.Root())
-		for head := 0; head < len(queue); head++ {
-			s := queue[head]
-			if st.repl[s] {
-				continue
-			}
-			if in.W[s] >= st.inreq[s] && st.inreq[s] > 0 && st.qosCovers(s) {
-				st.serveAll(s)
-				added = true
-				continue
-			}
-			for _, c := range t.Children(s) {
-				if t.IsInternal(c) {
-					queue = append(queue, c)
-				}
-			}
-		}
-		if !added {
-			break
-		}
-	}
-	return st.finish()
+func CTDAQoS(in *core.Instance) (*core.Solution, error) {
+	return run(in, func(st *state) error { return topDown(st, true, false, false) })
 }
 
 // qosCovers reports whether every pending client under s may be served at
@@ -57,36 +31,8 @@ func (st *state) qosCovers(s int) bool {
 }
 
 // UBCFQoS is UBCF restricted to QoS-eligible ancestors.
-func UBCFQoS(in *core.Instance) (*core.Solution, error) { return run(in, ubcfQoS) }
-
-func ubcfQoS(st *state) error {
-	in, t := st.in, st.in.Tree
-	copy(st.capLeft, in.W)
-	order := st.order[:0]
-	for _, c := range t.Clients() {
-		if in.R[c] > 0 {
-			order = append(order, c)
-		}
-	}
-	sortByKey(order, in.R, true, st.tmp)
-	for _, c := range order {
-		r := in.R[c]
-		best := -1
-		for a := t.Parent(c); a != tree.None; a = t.Parent(a) {
-			if !in.QoSAllows(c, a) {
-				break // ancestors only get farther
-			}
-			if st.capLeft[a] >= r && (best < 0 || st.capLeft[a] < st.capLeft[best]) {
-				best = a
-			}
-		}
-		if best < 0 {
-			return ErrNoSolution
-		}
-		st.capLeft[best] -= r
-		st.assign(c, best, r)
-	}
-	return nil
+func UBCFQoS(in *core.Instance) (*core.Solution, error) {
+	return run(in, func(st *state) error { return bigClientFirst(st, true, false) })
 }
 
 // MGQoS is the Multiple greedy with QoS awareness: every node absorbs

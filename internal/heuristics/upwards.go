@@ -22,7 +22,7 @@ func utd(st *state) error {
 		}
 		if st.inreq[s] >= in.W[s] && st.inreq[s] > 0 {
 			st.repl[s] = true
-			st.deleteSingle(s, in.W[s])
+			st.deleteRequests(s, in.W[s], true, false)
 		}
 	}
 
@@ -36,7 +36,7 @@ func utd(st *state) error {
 				continue
 			}
 			st.repl[s] = true
-			st.deleteSingle(s, st.inreq[s])
+			st.deleteRequests(s, st.inreq[s], true, false)
 		}
 	}
 	return st.finish()
@@ -47,9 +47,18 @@ func utd(st *state) error {
 // fits all their requests, the one with minimal remaining capacity.
 func UBCF(in *core.Instance) (*core.Solution, error) { return run(in, ubcf) }
 
-func ubcf(st *state) error {
+func ubcf(st *state) error { return bigClientFirst(st, false, false) }
+
+// bigClientFirst is the UBCF body. With qos, a client's scan up its path
+// stops past its QoS bound (Dist only grows toward the root; the distance
+// is carried up, not recomputed). With bw, it stops at the first link that
+// cannot carry the client, and the chosen path's bandwidth is reserved.
+func bigClientFirst(st *state, qos, bw bool) error {
 	in, t := st.in, st.in.Tree
 	copy(st.capLeft, in.W)
+	if bw && in.BW != nil {
+		copy(st.bwLeft, in.BW)
+	}
 	order := st.order[:0]
 	for _, c := range t.Clients() {
 		if in.R[c] > 0 {
@@ -59,8 +68,23 @@ func ubcf(st *state) error {
 	sortByKey(order, in.R, true, st.tmp)
 	for _, c := range order {
 		r := in.R[c]
+		bounded := qos && in.Q != nil && in.Q[c] != core.NoQoS
+		var dist int64
 		best := -1
-		for a := t.Parent(c); a != tree.None; a = t.Parent(a) {
+		for below, a := c, t.Parent(c); a != tree.None; below, a = a, t.Parent(a) {
+			if bw && st.residual(below) < r {
+				break
+			}
+			if bounded {
+				if in.Comm == nil {
+					dist++
+				} else {
+					dist += in.Comm[below]
+				}
+				if dist > int64(in.Q[c]) {
+					break
+				}
+			}
 			if st.capLeft[a] >= r && (best < 0 || st.capLeft[a] < st.capLeft[best]) {
 				best = a
 			}
@@ -69,6 +93,13 @@ func ubcf(st *state) error {
 			return ErrNoSolution
 		}
 		st.capLeft[best] -= r
+		if bw && in.BW != nil {
+			for u := c; u != best; u = t.Parent(u) {
+				if st.bwLeft[u] != core.NoBandwidth {
+					st.bwLeft[u] -= r
+				}
+			}
+		}
 		st.assign(c, best, r)
 	}
 	return nil
