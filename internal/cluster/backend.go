@@ -77,8 +77,8 @@ func resultFromResponse(resp *service.Response) (service.Result, error) {
 }
 
 // StripRemoteSuffix returns the local solver name behind an @remote
-// twin (case-insensitively), or the name unchanged. The sharded batch
-// kind applies it before forwarding work: workers register only local
+// twin (case-insensitively), or the name unchanged. RouteBatch
+// applies it before forwarding work: workers register only local
 // names, so a coordinator-side "optimal@remote" must travel as
 // "optimal".
 func StripRemoteSuffix(name string) string {

@@ -173,7 +173,7 @@ func (p *Pool) RouteBatch(ctx context.Context, e *service.Engine, base *core.Ins
 					if line.Index < 0 || line.Index >= len(chunk) {
 						return // a confused shard must not crash the stream
 					}
-					if line.Error != "" && isTransientLineError(line.Error) {
+					if line.Error != "" && service.IsTransientLineError(line.Error) {
 						return // leave missing; retried next round or locally
 					}
 					line.Index = chunk[line.Index]
@@ -267,6 +267,24 @@ func (p *Pool) RouteBatch(ctx context.Context, e *service.Engine, base *core.Ins
 		return fmt.Errorf("cluster: routed batch delivered %d of %d lines", next, total)
 	}
 	return nil
+}
+
+// maxChunk bounds one sub-batch posted to a shard. Smaller chunks lose
+// less work to a dying shard; larger ones amortize the round trip.
+const maxChunk = 64
+
+// batchRounds bounds how many no-progress partition rounds a routed
+// batch tolerates before computing the rest on the coordinator.
+const batchRounds = 3
+
+func missingIndices(total int, done map[int]bool) []int {
+	var out []int
+	for i := 0; i < total; i++ {
+		if !done[i] {
+			out = append(out, i)
+		}
+	}
+	return out
 }
 
 // partitionWeighted splits the indices into chunks for one fan-out

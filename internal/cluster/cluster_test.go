@@ -408,7 +408,8 @@ func TestShardedBatchJob(t *testing.T) {
 		FailThreshold: 1,
 	})
 
-	// The coordinator engine only validates payloads for the batch kind.
+	// The coordinator engine validates batch payloads and computes the
+	// rows no shard takes.
 	// Its registry carries the @remote twins, like a real coordinator's.
 	reg := service.NewRegistry()
 	if err := RegisterRemote(reg, p); err != nil {
@@ -443,7 +444,7 @@ func TestShardedBatchJob(t *testing.T) {
 		"variations": vars,
 	}
 
-	m, err := jobs.NewManager(jobs.Options{Workers: 1}, BatchKind(ce, p))
+	m, err := jobs.NewManager(jobs.Options{Workers: 1}, Kinds(ce, p)...)
 	if err != nil {
 		t.Fatal(err)
 	}

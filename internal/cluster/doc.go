@@ -21,11 +21,17 @@
 //     engine's cache, single-flight de-duplication, validation and
 //     metrics apply to remote results unchanged.
 //
-//   - CampaignKind / BatchKind: distributed replacements for the local
-//     async job kinds. They partition the work — λ row indices for
-//     campaigns, variation indices for batches — across shards, persist
+//   - Pool.RouteBatch: one batch fanned out over the shards in weighted
+//     chunks, after a probe of the coordinator's caches, with lines
+//     re-indexed and delivered in request order and a local-engine
+//     fallback for whatever no shard takes. Inline /v1/batch requests
+//     and batch jobs (service.BatchJobKind with the pool as its
+//     router) both run through it.
+//
+//   - CampaignKind: the distributed replacement for the local campaign
+//     job kind. It partitions λ row indices across shards, persists
 //     every completed row keyed by its absolute index, and on resume
-//     (daemon restart) or shard death resubmit only the missing rows.
+//     (daemon restart) or shard death resubmits only the missing rows.
 //     Campaign rows are computed remotely via experiments.Config's
 //     StartRow/EndRow slicing, whose generation seeds are tied to the
 //     absolute row index: a row is bit-identical no matter which shard

@@ -31,11 +31,7 @@ func ClosestHomogeneous(in *core.Instance) (*core.Solution, error) {
 	if in.HasQoS() || in.HasBandwidth() {
 		return nil, errors.New("exact: ClosestHomogeneous does not support QoS or bandwidth constraints")
 	}
-	// Link weights only enter slacks, infinite here; dropping them keeps a
-	// weighted path from exhausting the greedy's finite stand-in for ∞.
-	plain := *in
-	plain.Comm = nil
-	return closestPartition(&plain)
+	return closestPartition(in)
 }
 
 // assignClosest builds the (unique) Closest assignment induced by a replica

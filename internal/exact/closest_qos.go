@@ -2,6 +2,7 @@ package exact
 
 import (
 	"errors"
+	"math"
 
 	"repro/internal/core"
 )
@@ -46,16 +47,15 @@ func closestPartition(in *core.Instance) (*core.Solution, error) {
 	flow := make([]int64, t.Len()) // uncovered flow leaving each vertex
 	repl := make([]bool, t.Len())
 	// minSlack[v] is the minimum over pending clients under v of
-	// q_i − dist(i, v); +inf when nothing is pending.
-	const inf = int64(1) << 50
+	// q_i − dist(i, v); unbounded when no pending client has a bound.
 	minSlack := make([]int64, t.Len())
 	// childSlack is the least slack of the clients v's children still
 	// send up, once it has crossed their links to v.
 	childSlack := func(v int) int64 {
-		slack := inf
+		slack := unbounded
 		for _, c := range t.Children(v) {
-			if flow[c] > 0 && minSlack[c]-linkCost(in, c) < slack {
-				slack = minSlack[c] - linkCost(in, c)
+			if s := crossLink(in, c, minSlack[c]); flow[c] > 0 && s < slack {
+				slack = s
 			}
 		}
 		return slack
@@ -65,7 +65,7 @@ func closestPartition(in *core.Instance) (*core.Solution, error) {
 		if t.IsClient(v) {
 			flow[v] = in.R[v]
 			if in.R[v] == 0 || in.Q == nil || in.Q[v] == core.NoQoS {
-				minSlack[v] = inf
+				minSlack[v] = unbounded
 			} else {
 				minSlack[v] = int64(in.Q[v])
 			}
@@ -101,10 +101,10 @@ func closestPartition(in *core.Instance) (*core.Solution, error) {
 		// Forced placement: if crossing the link to the parent would
 		// strand a client, serve everything here (the root is handled
 		// after the sweep).
-		if f > 0 && v != t.Root() && slack-linkCost(in, v) < 0 {
+		if f > 0 && v != t.Root() && crossLink(in, v, slack) < 0 {
 			repl[v] = true
 			f = 0
-			slack = inf
+			slack = unbounded
 		}
 		flow[v] = f
 		minSlack[v] = slack
@@ -116,10 +116,19 @@ func closestPartition(in *core.Instance) (*core.Solution, error) {
 	return assignClosest(in, repl)
 }
 
-// linkCost returns the QoS cost of crossing the link v -> parent(v).
-func linkCost(in *core.Instance, v int) int64 {
-	if in.Comm == nil {
-		return 1
+// unbounded is the slack of a client with no QoS bound.
+const unbounded = int64(math.MaxInt64)
+
+// crossLink returns slack once the link v -> parent(v) is crossed: less
+// the link's QoS cost (Comm[v], or 1 without link weights), except that
+// unbounded stays unbounded, so no path weight strands a client without
+// a bound.
+func crossLink(in *core.Instance, v int, slack int64) int64 {
+	if slack == unbounded {
+		return unbounded
 	}
-	return in.Comm[v]
+	if in.Comm == nil {
+		return slack - 1
+	}
+	return slack - in.Comm[v]
 }

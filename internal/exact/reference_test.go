@@ -87,8 +87,8 @@ func TestClosestHomogeneousMatchesReference(t *testing.T) {
 	// Client children alone overflowing their node: no Closest placement.
 	overflow := core.Figure1('a')
 	overflow.R[overflow.Tree.Clients()[0]] = 2
-	// Link weights past the QoS greedy's infinite slack (1<<50), which a
-	// solver without QoS bounds must still ignore.
+	// Link weights of 2^51 a hop, which a solver without QoS bounds must
+	// ignore: no path weight may exhaust a slack that has no bound.
 	heavy := core.Figure2(3)
 	heavy.Comm = make([]int64, heavy.Tree.Len())
 	for v := range heavy.Comm {
@@ -135,6 +135,15 @@ func TestClosestHomogeneousMatchesReference(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.Assign, want.Assign) {
 			t.Fatalf("%s: assignment differs from the reference\ngot:  %v\nwant: %v", inst.label, got, want)
+		}
+		// With no bound to force a placement, the QoS solver is the
+		// same greedy and must give the same answer.
+		qos, err := ClosestHomogeneousQoS(inst.in)
+		if err != nil {
+			t.Fatalf("%s: closest-qos-optimal: %v", inst.label, err)
+		}
+		if !reflect.DeepEqual(qos.Assign, want.Assign) {
+			t.Fatalf("%s: closest-qos-optimal differs from the reference\ngot:  %v\nwant: %v", inst.label, qos, want)
 		}
 		solved++
 	}

@@ -44,10 +44,12 @@ func multipleTwoPass(st *state, preorder, desc bool) error {
 	// pending requests absorbs all of them (its capacity suffices since it
 	// was not exhausted during the first pass and pending only shrinks).
 	// Absorbing zeroes every descendant's inreq, so the preorder scan is
-	// the recursive descent of Algorithm 8.
+	// the recursive descent of Algorithm 8. A server with W = 0 can absorb
+	// nothing, so the scan passes it by; requests left with no server
+	// above them fail the run in finish.
 	if st.inreq[t.Root()] > 0 {
 		for _, s := range t.PreOrder() {
-			if t.IsClient(s) || st.repl[s] || st.inreq[s] == 0 {
+			if t.IsClient(s) || st.repl[s] || st.inreq[s] == 0 || in.W[s] == 0 {
 				continue
 			}
 			st.repl[s] = true

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -101,6 +102,49 @@ func (e *Engine) SolveBatch(ctx context.Context, req BatchRequest, deliver func(
 		}
 	}
 	return nil
+}
+
+// runBatch is the one batch runner behind /v1/batch and batch jobs.
+// With a router (a coordinator's pool) the batch is routed across the
+// shards and emit sees lines in index order; without one the engine
+// solves it and emit sees lines in completion order. After emit first
+// fails, later lines are dropped and runBatch returns that error.
+func runBatch(ctx context.Context, e *Engine, router BatchRouter, base *core.Instance, policy core.Policy, req *BatchPayload, emit func(BatchLine) error) error {
+	if router != nil {
+		return router.RouteBatch(ctx, e, base, policy, req, emit)
+	}
+	var emitErr error
+	err := e.SolveBatch(ctx, BatchRequest{
+		Base:       base,
+		Solver:     req.Solver,
+		Policy:     policy,
+		Options:    req.Options.options(),
+		Variations: req.Variations,
+	}, func(item BatchItem) {
+		if emitErr != nil {
+			return
+		}
+		line := BatchLine{Index: item.Index, Response: item.Response}
+		if item.Err != nil {
+			line.Error = item.Err.Error()
+		}
+		emitErr = emit(line)
+	})
+	if err != nil {
+		return err
+	}
+	return emitErr
+}
+
+// IsTransientLineError reports whether a BatchLine.Error depends on load
+// or lifecycle (a per-solve deadline, a cancellation, a draining engine)
+// rather than on the variation itself. Such a row is retried, never
+// frozen into a job checkpoint. The text is all a row relayed over the
+// wire carries; the sentinels are stable stdlib and service messages.
+func IsTransientLineError(msg string) bool {
+	return strings.Contains(msg, context.DeadlineExceeded.Error()) ||
+		strings.Contains(msg, context.Canceled.Error()) ||
+		strings.Contains(msg, ErrEngineClosed.Error())
 }
 
 // Apply builds the variation's instance over the base — exported for

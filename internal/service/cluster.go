@@ -43,10 +43,11 @@ type ClusterStats struct {
 	// Epoch increments on every membership change (join, leave, file
 	// reload). Long-running jobs watch it to notice joins mid-run.
 	Epoch uint64 `json:"epoch"`
-	// BatchesRouted counts inline /v1/batch requests fanned out over
-	// the shards; RowsRouted the variations computed remotely by them;
-	// RowsLocalFallback the variations computed on the coordinator
-	// because no shard could (breakers open, pool empty or drained).
+	// BatchesRouted counts routed batches — inline /v1/batch requests
+	// and batch job runs — fanned out over the shards; RowsRouted the
+	// variations computed remotely by them; RowsLocalFallback the
+	// variations computed on the coordinator because no shard could
+	// (breakers open, pool empty or drained).
 	BatchesRouted     uint64 `json:"batches_routed"`
 	RowsRouted        uint64 `json:"rows_routed"`
 	RowsLocalFallback uint64 `json:"rows_local_fallback"`
@@ -132,15 +133,16 @@ type MetricsFederator interface {
 	FederatedExpositions() []ShardExposition
 }
 
-// BatchRouter is implemented by pools that can execute an inline
-// /v1/batch request across their shards. The handler prefers it over
-// the local engine whenever the daemon fronts a cluster; base and
-// policy are the caller's already-validated req.Build(e) results (the
-// handler needs them for its pre-stream status codes anyway, and the
-// router must not pay for a second build). deliver is called with
-// lines in request (index) order, and implementations fall back to
-// computing on the engine locally for whatever the shards cannot take,
-// so a coordinator with every worker down still answers.
+// BatchRouter is implemented by pools that can execute a batch across
+// their shards. The batch runner behind /v1/batch and batch jobs
+// prefers it over the local engine whenever the daemon fronts a
+// cluster; base and policy are the caller's already-validated
+// req.Build(e) results (the handler needs them for its pre-stream
+// status codes anyway, and the router must not pay for a second
+// build). deliver is called with lines in request (index) order, and
+// implementations fall back to computing on the engine locally for
+// whatever the shards cannot take, so a coordinator with every worker
+// down still answers, and a batch job on it still completes.
 type BatchRouter interface {
 	RouteBatch(ctx context.Context, e *Engine, base *core.Instance, policy core.Policy, req *BatchPayload, deliver func(BatchLine) error) error
 }

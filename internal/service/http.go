@@ -629,39 +629,13 @@ func (a *api) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return nil
 	}
 
-	if router, ok := a.cluster.(BatchRouter); ok {
-		// A coordinator routes the inline batch across its shards:
-		// weighted chunks, lines streamed back in index order, and a
-		// local-engine fallback for whatever the cluster cannot take —
-		// a pool with every breaker open degrades to exactly the
-		// standalone path. Mid-stream failures (the client went away,
-		// the request context expired) are reported in-stream like the
-		// campaign endpoint's.
-		if err := router.RouteBatch(r.Context(), e, base, policy, req, emit); err != nil {
-			enc.Encode(map[string]string{"error": err.Error()})
-			return
-		}
-	} else {
-		err = e.SolveBatch(r.Context(), BatchRequest{
-			Base:       base,
-			Solver:     req.Solver,
-			Policy:     policy,
-			Options:    req.Options.options(),
-			Variations: req.Variations,
-		}, func(item BatchItem) {
-			line := BatchLine{Index: item.Index, Response: item.Response}
-			if item.Err != nil {
-				line.Error = item.Err.Error()
-			}
-			emit(line)
-		})
-		if err != nil {
-			// SolveBatch re-validates cheaply; nothing can fail here that
-			// Build did not already catch, but keep the belt-and-braces
-			// in-stream report rather than a broken trailer.
-			enc.Encode(map[string]string{"error": err.Error()})
-			return
-		}
+	// A coordinator's pool routes the batch across its shards. Mid-stream
+	// failures (the client went away, the request context expired) are
+	// reported in-stream like the campaign endpoint's.
+	router, _ := a.cluster.(BatchRouter)
+	if err := runBatch(r.Context(), e, router, base, policy, req, emit); err != nil {
+		enc.Encode(map[string]string{"error": err.Error()})
+		return
 	}
 	enc.Encode(batchDone{
 		Done:      true,

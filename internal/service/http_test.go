@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/gen"
 )
 
 func newTestServer(t *testing.T) (*httptest.Server, *Engine) {
@@ -121,6 +122,31 @@ func TestHTTPSolveEndToEnd(t *testing.T) {
 	decodeBody(t, resp, &second)
 	if !second.Cached || second.Cost != first.Cost {
 		t.Fatalf("second solve = %+v, want cached with cost %d", second, first.Cost)
+	}
+}
+
+// TestHTTPSolveZeroCapacityServers: a valid instance whose root and
+// every fourth server have W = S = 0 is answered 200 by MB, MTD and
+// MBU, with a placement or no_solution. The engine validates every
+// solution, so an overloaded W = 0 server would surface as a 500.
+func TestHTTPSolveZeroCapacityServers(t *testing.T) {
+	srv, _ := newTestServer(t)
+	in := gen.Instance(gen.Config{Internal: 20, Clients: 40, Lambda: 0.4}, 1)
+	for i, v := range in.Tree.Internal() {
+		if i%4 == 0 || v == in.Tree.Root() {
+			in.W[v], in.S[v] = 0, 0
+		}
+	}
+	for _, solver := range []string{"mb", "MTD", "MBU"} {
+		resp := postJSON(t, srv.URL+"/v1/solve", map[string]any{"instance": in, "solver": solver})
+		var got Response
+		decodeBody(t, resp, &got)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", solver, resp.StatusCode)
+		}
+		if !got.NoSolution && got.ReplicaCount == 0 {
+			t.Fatalf("%s: neither a placement nor no_solution: %+v", solver, got)
+		}
 	}
 }
 

@@ -28,8 +28,9 @@ type JobsOptions struct {
 	// DELETE); see jobs.Options.RetainFor.
 	RetainFor time.Duration
 	// Kinds overrides the registered job kinds. Nil selects the local
-	// pair — jobs.CampaignKind() and BatchJobKind(e). A cluster
-	// coordinator passes its sharded kinds here instead.
+	// pair — jobs.CampaignKind() and BatchJobKind(e, nil). A cluster
+	// coordinator passes cluster.Kinds here instead: the sharded
+	// campaign kind and BatchJobKind routed through its pool.
 	Kinds []jobs.Kind
 	// Logger receives the manager's job lifecycle logs (nil discards).
 	Logger *slog.Logger
@@ -63,7 +64,7 @@ func NewJobsManagerOpts(e *Engine, opts JobsOptions) (*jobs.Manager, error) {
 	}
 	kinds := opts.Kinds
 	if kinds == nil {
-		kinds = []jobs.Kind{jobs.CampaignKind(), BatchJobKind(e)}
+		kinds = []jobs.Kind{jobs.CampaignKind(), BatchJobKind(e, nil)}
 	}
 	return jobs.NewManager(jobs.Options{
 		Store:     store,
@@ -76,9 +77,15 @@ func NewJobsManagerOpts(e *Engine, opts JobsOptions) (*jobs.Manager, error) {
 }
 
 // BatchJobKind executes /v1/batch-shaped payloads as async jobs: one
-// persisted row per variation, in completion order. Rows carry the
-// variation index, so the checkpoint is the set of already-solved
-// indices — a resumed batch job re-submits only the missing ones.
+// persisted row per variation. Rows carry the variation index, so the
+// checkpoint is the set of already-solved indices — a resumed batch job
+// submits only the missing ones, as a sub-batch through the same runner
+// as /v1/batch. With a nil router the engine solves them and rows land
+// in completion order. A coordinator passes its pool: the sub-batch is
+// then routed as an inline batch is — cache probe, weighted shard
+// chunks, and the coordinator's own engine for whatever no shard takes
+// — and rows land in index order, so rows that sat finished in the
+// reorder buffer when the process died are recomputed on resume.
 // Deterministic per-variation failures (validation, proven
 // infeasibility surfaces as a NoSolution response) are persisted as
 // error rows, matching the inline /v1/batch semantics. Transient
@@ -87,7 +94,7 @@ func NewJobsManagerOpts(e *Engine, opts JobsOptions) (*jobs.Manager, error) {
 // variations stay missing and the job finishes failed (or interrupted,
 // on shutdown) with every completed row intact, so they are recomputed
 // rather than frozen as permanent errors.
-func BatchJobKind(e *Engine) jobs.Kind {
+func BatchJobKind(e *Engine, router BatchRouter) jobs.Kind {
 	return jobs.Kind{
 		Name: BatchKindName,
 		Prepare: func(payload json.RawMessage) (json.RawMessage, int, error) {
@@ -117,58 +124,46 @@ func BatchJobKind(e *Engine) jobs.Kind {
 				}
 				done[line.Index] = true
 			}
-			var todo []BatchVariation
+			sub := *req
+			sub.Variations = nil
 			var indices []int
 			for i, v := range req.Variations {
 				if !done[i] {
-					todo = append(todo, v)
+					sub.Variations = append(sub.Variations, v)
 					indices = append(indices, i)
 				}
 			}
-			if len(todo) == 0 {
+			if len(indices) == 0 {
 				return nil
 			}
-			var sinkErr error
 			transient := 0
-			err = e.SolveBatch(ctx, BatchRequest{
-				Base:       base,
-				Solver:     req.Solver,
-				Policy:     policy,
-				Options:    req.Options.options(),
-				Variations: todo,
-			}, func(item BatchItem) {
-				if sinkErr != nil || ctx.Err() != nil {
-					// The job is over (store failure or cancellation):
-					// persisting more rows — especially context-canceled
-					// error rows — would checkpoint work that never ran.
-					return
+			err = runBatch(ctx, e, router, base, policy, &sub, func(line BatchLine) error {
+				if err := ctx.Err(); err != nil {
+					// The job is over: persisting more rows — especially
+					// context-canceled error rows — would checkpoint work
+					// that never ran.
+					return err
 				}
-				if item.Err != nil && isTransientSolveErr(item.Err) {
+				if line.Error != "" && IsTransientLineError(line.Error) {
 					// A per-solve deadline or a draining engine, with the
 					// job itself still live: do not freeze it into the
 					// checkpoint as a permanent error row.
 					transient++
-					return
+					return nil
 				}
-				line := BatchLine{Index: indices[item.Index], Response: item.Response}
-				if item.Err != nil {
-					line.Error = item.Err.Error()
-				}
-				data, err := json.Marshal(line)
-				if err == nil {
-					err = sink(data)
-				}
+				line.Index = indices[line.Index]
+				// AppendJSON, not Marshal: routed lines carry their body
+				// as raw bytes (BatchLine.Raw) that Marshal would drop.
+				data, err := line.AppendJSON(nil)
 				if err != nil {
-					sinkErr = err
+					return err
 				}
+				return sink(data)
 			})
+			if cerr := ctx.Err(); cerr != nil {
+				return cerr // cancellation/shutdown keep their semantics
+			}
 			if err != nil {
-				return err
-			}
-			if sinkErr != nil {
-				return sinkErr
-			}
-			if err := ctx.Err(); err != nil {
 				return err
 			}
 			if transient > 0 {
@@ -179,17 +174,9 @@ func BatchJobKind(e *Engine) jobs.Kind {
 	}
 }
 
-// isTransientSolveErr classifies per-variation failures that depend on
-// load or lifecycle rather than on the variation itself.
-func isTransientSolveErr(err error) bool {
-	return errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, context.Canceled) ||
-		errors.Is(err, ErrEngineClosed)
-}
-
 // BatchPayload is the batch job's persisted payload — the exact
 // /v1/batch request body shape. It is exported (with DecodeBatchPayload
-// and Build) so the cluster's distributed batch kind can validate the
+// and Build) so the cluster's batch router and wire server can take the
 // same payloads and re-marshal per-shard sub-batches of them.
 type BatchPayload struct {
 	Topology   BatchTopology    `json:"topology"`

@@ -32,7 +32,7 @@ func (s slowAppendStore) AppendRow(id string, row json.RawMessage) error {
 func newJobsServer(t *testing.T, e *Engine, store jobs.Store) (*httptest.Server, *jobs.Manager) {
 	t.Helper()
 	m, err := jobs.NewManager(jobs.Options{Store: store, Workers: 1},
-		jobs.CampaignKind(), BatchJobKind(e))
+		jobs.CampaignKind(), BatchJobKind(e, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -236,11 +236,11 @@ func (a *api) renderMetrics(buf *bytes.Buffer) {
 		if cs := a.clusterStats(); cs != nil {
 			p.family("rp_cluster_epoch", "gauge", "Shard membership epoch (increments on join/leave/re-weight).")
 			p.sample("rp_cluster_epoch", "", float64(cs.Epoch))
-			p.family("rp_cluster_batches_routed_total", "counter", "Inline batches fanned out over the shards.")
+			p.family("rp_cluster_batches_routed_total", "counter", "Routed batches (inline and job runs) fanned out over the shards.")
 			p.sample("rp_cluster_batches_routed_total", "", float64(cs.BatchesRouted))
-			p.family("rp_cluster_batch_rows_routed_total", "counter", "Inline batch variations computed on shards.")
+			p.family("rp_cluster_batch_rows_routed_total", "counter", "Routed batch variations computed on shards.")
 			p.sample("rp_cluster_batch_rows_routed_total", "", float64(cs.RowsRouted))
-			p.family("rp_cluster_batch_rows_local_total", "counter", "Inline batch variations computed locally because no shard could take them.")
+			p.family("rp_cluster_batch_rows_local_total", "counter", "Routed batch variations computed locally because no shard could take them.")
 			p.sample("rp_cluster_batch_rows_local_total", "", float64(cs.RowsLocalFallback))
 			p.family("rp_cluster_batch_cache_short_circuit_total", "counter", "Routed batch variations served from the coordinator's caches without a shard round trip.")
 			p.sample("rp_cluster_batch_cache_short_circuit_total", "", float64(cs.BatchCacheShortCircuits))

@@ -323,11 +323,14 @@ func RegisterRemoteSolvers(reg *SolverRegistry, p *ClusterPool) error {
 	return cluster.RegisterRemote(reg, p)
 }
 
-// ClusterJobKinds returns the sharded campaign/batch job kinds a
-// coordinator registers in place of the local ones (see
-// ServiceJobsOptions.Kinds): λ rows and variation indices are
-// partitioned across the pool's shards and merged back into the same
-// append-only row log, byte-identical to a single-process run.
+// ClusterJobKinds returns the job kinds a coordinator registers in place
+// of the local ones (see ServiceJobsOptions.Kinds): campaign λ rows are
+// partitioned across the pool's shards, and batch jobs run the missing
+// variations through the pool's routed batch path, as /v1/batch does —
+// cache probe first, rows no shard takes computed on e, rows persisted
+// in index order and counted in the pool's routed/fallback stats. Rows
+// merge into the same append-only row log, byte-identical to a
+// single-process run.
 func ClusterJobKinds(e *Engine, p *ClusterPool) []jobs.Kind {
 	return cluster.Kinds(e, p)
 }
